@@ -119,6 +119,12 @@ class Scenario:
             raise ValueError("sample size too small for the leaf-size floor")
         if self.noise_mult < 0:
             raise ValueError("noise multiplier must be nonnegative")
+        # attainments over N draws are k/N, computed and banded as in pf_cloud_rs
+        n, lo, hi = self.bart.n_draws, 0.5 - self.alpha_rs / 2.0, 0.5 + self.alpha_rs / 2.0
+        att = np.arange(1, n + 1) / n
+        if not np.any((lo <= att) & (att <= hi)):
+            raise ValueError(f"n_draws={n} with alpha_rs={self.alpha_rs}: "
+                             f"no attainment k/{n} lies in the RS band [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)

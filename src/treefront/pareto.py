@@ -2,9 +2,12 @@
 
 Minimization orientation throughout: v dominates w when v is componentwise
 no larger, strictly when it is smaller somewhere.  The nondominated filter
-is the classic divide-and-conquer scheme: lexicographically presort, split,
-solve halves, then keep the second half's survivors that no first-half
-survivor strictly dominates.
+stably sorts the vectors lexicographically once, so equal vectors form runs.
+With two objectives a sweep keeps each distinct vector whose second
+coordinate is strictly below the running minimum of the earlier ones (Kung,
+Luccio & Preparata 1975).  With three or more, a divide-and-conquer
+recursion solves both halves of the sorted vectors, then keeps the second
+half's survivors that no first-half survivor strictly dominates.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ def dominates(v, w) -> Dominance:
     return Dominance.WEAK
 
 
-# Below this size the quadratic scan beats the recursion; any small constant
-# is correct, this one is just fast.
+# Below this size the recursion (d >= 3 only) switches to the quadratic scan;
+# any small constant is correct, this one is just fast.
 _SCAN_CUTOFF = 16
 
 
@@ -54,56 +57,51 @@ def _strictly_dominated_mask(points: np.ndarray, against: np.ndarray) -> np.ndar
     return out
 
 
-def _scan_front(points: np.ndarray) -> np.ndarray:
-    return points[~_strictly_dominated_mask(points, points)]
-
-
-def _merge_dominated_mask(s: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """Like _strictly_dominated_mask(s, front) for a lexsorted nondominated
-    `front` disjoint from `s`; binary search replaces the pairwise scan when
-    there are two objectives (first coordinates strictly increase, second
-    strictly decrease along the front)."""
-    if front.shape[1] != 2:
-        return _strictly_dominated_mask(s, front)
-    j = np.searchsorted(front[:, 0], s[:, 0], side="right") - 1
-    out = np.zeros(len(s), dtype=bool)
-    valid = j >= 0
-    jj = j[valid]
-    best2 = front[jj, 1]  # least second coordinate among front points with r1 <= s1
-    out[valid] = (best2 < s[valid, 1]) | (
-        (best2 == s[valid, 1]) & (front[jj, 0] < s[valid, 0])
-    )
-    return out
-
-
 def _find_front(points: np.ndarray) -> np.ndarray:
+    """Ascending indices of the nondominated rows of distinct, lexsorted `points`."""
     if len(points) <= _SCAN_CUTOFF:
-        return _scan_front(points)
+        return np.flatnonzero(~_strictly_dominated_mask(points, points))
     half = len(points) // 2
     r = _find_front(points[:half])
-    s = _find_front(points[half:])
-    keep = ~_merge_dominated_mask(s, r)
-    return np.vstack([r, s[keep]])
+    s = half + _find_front(points[half:])
+    keep = ~_strictly_dominated_mask(points[s], points[r])
+    return np.concatenate([r, s[keep]])
 
 
-def kung_front(vectors) -> np.ndarray:
+def kung_front(vectors, return_refs: bool = False):
     """Nondominated subset of a set of d-vectors, one row per distinct vector.
 
-    Duplicates collapse to a single representative; the result equals the set
-    of input vectors not strictly dominated by any input vector.
+    The result equals the set of input vectors not strictly dominated by any
+    input vector, in lexicographic order; with two objectives the first
+    strictly increases and the second strictly decreases along it.  With
+    `return_refs`, also returns for each front row the ascending indices of
+    the input rows equal to it.  A row with a NaN raises ValueError.
     """
     pts = np.asarray(vectors, dtype=float)
     if pts.ndim != 2:
         pts = pts.reshape(len(pts), -1)
-    if len(pts) == 0:
-        return pts
-    # lexicographic presort on (first coord, then second, ...): with this
-    # order no later point can strictly dominate an earlier one, which is
-    # what makes the one-sided merge filter sufficient.
+    if np.isnan(pts).any():
+        raise ValueError(f"row {np.isnan(pts).any(axis=1).argmax()} has a NaN")
+    # stable lexsort on (first coord, then second, ...): no row can strictly
+    # dominate an earlier one, and equal rows form runs of ascending indices
     order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    pts = np.unique(pts, axis=0)  # unique rows are sorted lexicographically
-    return _find_front(pts)
+    srt = pts[order]
+    new = np.ones(len(srt), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    distinct = srt[starts]
+    if pts.shape[1] == 2:
+        second = distinct[:, 1]
+        keep = np.ones(len(distinct), dtype=bool)
+        keep[1:] = second[1:] < np.minimum.accumulate(second)[:-1]
+        idx = np.flatnonzero(keep)
+    else:
+        idx = _find_front(distinct)
+    front = distinct[idx]
+    if not return_refs:
+        return front
+    stops = np.append(starts[1:], len(srt))
+    return front, [order[starts[k] : stops[k]] for k in idx]
 
 
 @dataclass(frozen=True)
@@ -126,12 +124,7 @@ def pf_ps(atlas) -> ParetoResult:
     Every cell whose value equals a front objective contributes its box, so
     the returned boxes are the full preimage of the front.
     """
-    alphas = atlas.alphas
-    front_vals = kung_front(alphas)
-    points = []
-    boxes = []
-    for val in front_vals:
-        refs = np.nonzero(np.all(alphas == val, axis=1))[0]
-        points.append(FrontPoint(tuple(val), tuple(int(r) for r in refs)))
-        boxes.extend(atlas.box(int(r)) for r in refs)
+    vals, refs = kung_front(atlas.alphas, return_refs=True)
+    points = (FrontPoint(tuple(v), tuple(int(r) for r in rs)) for v, rs in zip(vals, refs))
+    boxes = (atlas.box(int(r)) for rs in refs for r in rs)
     return ParetoResult(tuple(points), tuple(boxes))

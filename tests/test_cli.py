@@ -173,3 +173,13 @@ def test_cli_error_paths(tmp_path):
     assert main(["fit", "--data", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert main(["uq", "--atlas", str(tmp_path / "missing"), "--method", "rs",
                  "--alpha", "0.25", "--out-dir", str(tmp_path)]) == 1
+
+
+def test_simulate_rejects_empty_attainment_band(tmp_path, capsys):
+    args = list(SIM_ARGS)
+    args[args.index("--draws") + 1] = "3"
+    assert main(args + ["--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "n_draws=3" in err and "alpha_rs=0.25" in err
+    assert not (tmp_path / "sim").exists()

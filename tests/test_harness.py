@@ -145,6 +145,19 @@ def test_scenario_validates_sample_size():
         Scenario(benchmark="mop2", n=10, bart=BartConfig())
 
 
+def test_scenario_rejects_empty_attainment_band():
+    # attainment over 3 draws is k/3, never inside [0.375, 0.625]
+    with pytest.raises(ValueError, match=r"n_draws=3 with alpha_rs=0\.25") as exc:
+        Scenario(benchmark="mop2", n=40, alpha_rs=0.25, bart=BartConfig(n_draws=3))
+    assert "\n" not in str(exc.value)
+    with pytest.raises(ValueError, match="alpha_rs=0.25"):
+        Scenario(benchmark="mop2", n=40, alpha_rs=0.25, bart=BartConfig(n_draws=1))
+    # the band is closed: at alpha_rs = 1/3 its upper end is 2/3 in floating point
+    Scenario(benchmark="mop2", n=40, alpha_rs=1 / 3, bart=BartConfig(n_draws=3))
+    for n_draws in (2, 4, 5, 500):
+        Scenario(benchmark="mop2", n=40, alpha_rs=0.25, bart=BartConfig(n_draws=n_draws))
+
+
 def test_exp_transform_commutes_with_front_extraction():
     # fronts of exponentiated values equal exponentiated fronts
     rng = np.random.default_rng(6)

@@ -162,3 +162,97 @@ def test_every_non_front_alpha_strictly_dominated():
         [tuple(a) in {p.objective for p in result.front} for a in atlas.alphas]
     )
     assert np.all(dominated | is_front)
+
+
+# -- two objectives: the lexsort sweep ----------------------------------------------
+
+def test_kung_2d_matches_brute_force_with_ties_duplicates_and_infinities():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 17, 200, 1000, 5000):
+        # few distinct first coordinates force heavy ties and duplicate rows
+        pts = np.column_stack([rng.integers(0, 12, n), rng.integers(0, 40, n)]).astype(float)
+        pts[rng.random(n) < 0.05, 0] = np.inf
+        pts[rng.random(n) < 0.05, 1] = np.inf
+        pts[rng.random(n) < 0.02, 0] = -np.inf
+        pts[rng.random(n) < 0.02, 1] = -np.inf
+        assert as_set(kung_front(pts)) == brute_force_front(pts)
+
+
+def test_kung_2d_infinite_coordinates():
+    assert as_set(kung_front([(0, np.inf), (1, 5), (np.inf, -3)])) == {
+        (0.0, np.inf), (1.0, 5.0), (np.inf, -3.0)
+    }
+    assert as_set(kung_front([(0, np.inf), (0, 5)])) == {(0.0, 5.0)}
+    assert as_set(kung_front([(-np.inf, 4), (1, -np.inf), (2, -np.inf)])) == {
+        (-np.inf, 4.0), (1.0, -np.inf)
+    }
+
+
+def test_kung_2d_signed_zeros_are_one_vector():
+    front, refs = kung_front([(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0)], return_refs=True)
+    assert as_set(front) == {(0.0, 1.0), (1.0, 0.0)}
+    assert [r.tolist() for r in refs] == [[0, 1], [2, 3]]
+
+
+def test_kung_rejects_nan_naming_first_row():
+    with pytest.raises(ValueError, match=r"^row 0 has a NaN") as exc:
+        kung_front([[1, np.nan], [0, 2], [2, 0], [3, 3]])
+    assert "\n" not in str(exc.value)
+    with pytest.raises(ValueError, match=r"^row 2 has a NaN"):
+        kung_front([[1, 1, 1], [0, 2, 2], [np.nan, 0, 0], [3, np.nan, 3]])
+
+
+def test_pf_ps_rejects_nan_cell():
+    atlas = multi_cells(paired_stump_ensembles())
+    alphas = atlas.alphas.copy()
+    alphas[5, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^row 5 has a NaN"):
+        pf_ps(atlas.with_alphas(alphas))
+
+
+def _assert_front_and_refs(atlas, result):
+    front = np.array([p.objective for p in result.front])
+    # strictly increasing first objective, strictly decreasing second
+    assert np.all(np.diff(front[:, 0]) > 0)
+    assert np.all(np.diff(front[:, 1]) < 0)
+    for fp in result.front:
+        refs = np.array(fp.cell_refs)
+        assert np.all(np.diff(refs) > 0)
+        expected = np.nonzero(np.all(atlas.alphas == np.array(fp.objective), axis=1))[0]
+        assert refs.tolist() == expected.tolist()
+    n_refs = sum(len(fp.cell_refs) for fp in result.front)
+    assert len(result.set_boxes) == n_refs
+
+
+def test_pf_ps_front_order_and_cell_refs():
+    rng = np.random.default_rng(12)
+    shared = 0
+    for trial in range(10):
+        atlas = multi_cells(random_multi(rng, p=2, d=2, m=4))
+        _assert_front_and_refs(atlas, pf_ps(atlas))
+        # rounding the values forces coincident cells onto shared front points
+        coarse = atlas.with_alphas(np.round(atlas.alphas, trial % 2))
+        result = pf_ps(coarse)
+        _assert_front_and_refs(coarse, result)
+        shared += sum(len(fp.cell_refs) > 1 for fp in result.front)
+    assert shared > 0
+
+
+def test_pf_ps_on_sampler_draws_p4():
+    from treefront import BartConfig, Dataset, fit_multi_bart, get_benchmark, unit_scale
+
+    bench = unit_scale(get_benchmark("dtlz2m"))
+    X = np.random.default_rng(13).random((48, bench.p))
+    data = Dataset(X, bench.evaluate(X), bench.domain)
+    draws = fit_multi_bart(data, BartConfig(m=8, min_leaf_obs=5, n_burn=15, n_draws=2), 13)
+    for draw in draws:
+        atlas = multi_cells(draw.me)
+        result = pf_ps(atlas)
+        _assert_front_and_refs(atlas, result)
+        front = np.array([p.objective for p in result.front])
+        assert not np.any(_strictly_dominated_mask(front, atlas.alphas))
+        on_front = np.zeros(len(atlas), dtype=bool)
+        for fp in result.front:
+            on_front[list(fp.cell_refs)] = True
+        assert np.all(_strictly_dominated_mask(atlas.alphas[~on_front], front))
+        assert len(atlas) > 100 and len(front) > 1
