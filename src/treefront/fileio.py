@@ -169,7 +169,9 @@ def read_points_csv(path) -> np.ndarray:
 
 
 def read_dataset_csv(path):
-    """Training table with header x1..xp,y1..yd; returns (X, Y)."""
+    """Training table with header x1..xp,y1..yd; returns (X, Y).  The inputs'
+    bounding box becomes the model domain, so it needs two rows and no constant
+    input column."""
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -177,6 +179,11 @@ def read_dataset_csv(path):
     xcols = [i for i, name in enumerate(header) if name.startswith("x")]
     ycols = [i for i, name in enumerate(header) if name.startswith("y")]
     if not xcols or not ycols:
-        raise ValueError("expected header columns x1..xp and y1..yd")
+        raise ValueError(f"{path}: expected header columns x1..xp and y1..yd")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, found {len(rows)}")
     data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    for i in xcols:
+        if data[:, i].min() == data[:, i].max():
+            raise ValueError(f"{path}: input column {header[i]} is constant")
     return data[:, xcols], data[:, ycols]

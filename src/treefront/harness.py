@@ -119,6 +119,9 @@ class Scenario:
             raise ValueError("sample size too small for the leaf-size floor")
         if self.noise_mult < 0:
             raise ValueError("noise multiplier must be nonnegative")
+        for name in ("alpha_rs", "alpha_mbd"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name}={getattr(self, name)} must be in (0, 1)")
         # attainments over N draws are k/N, computed and banded as in pf_cloud_rs
         n, lo, hi = self.bart.n_draws, 0.5 - self.alpha_rs / 2.0, 0.5 + self.alpha_rs / 2.0
         att = np.arange(1, n + 1) / n

@@ -7,6 +7,10 @@ error variance gets a scaled-inverse-chi-square draw.  Outputs are fit
 independently, each on its own random stream, and draws are emitted as
 immutable ensembles in raw output units.
 
+A tree being sampled keeps its leaves in one left-to-right list, and each
+node fixes its box, depth and table of valid cuts when it is created, so a
+birth or death only swaps list entries and no step re-walks the tree.
+
 Conventions fixed here rather than tuned per run:
 
 * outputs are centered/rescaled so observed min/max map to -/+ 0.5;
@@ -165,114 +169,114 @@ def sample_sigma2(residuals, nu: float, lam: float, rng: RngLike) -> float:
 # internal mutable tree used during sampling
 
 
+@dataclass(eq=False, slots=True)
 class _SNode:
-    __slots__ = ("leaf", "var", "cut", "left", "right", "parent", "idx", "mu")
+    """A node of a tree being sampled; it is a leaf while ``left`` is None.
 
-    def __init__(self, idx: np.ndarray, parent: Optional["_SNode"] = None):
-        self.leaf = True
-        self.var = -1
-        self.cut = 0.0
-        self.left: Optional[_SNode] = None
-        self.right: Optional[_SNode] = None
-        self.parent = parent
-        self.idx = idx
-        self.mu = 0.0
+    Its box ``lo``/``hi``, ``depth`` and cut table ``cuts`` never change, as
+    its box and training rows do not.  ``cuts`` maps each variable that has a
+    valid cut, in ascending order, to those cuts.  ``idx`` is set while it is
+    a leaf.
+    """
 
-
-def _collect_leaves(root: _SNode, lo: np.ndarray, hi: np.ndarray, depth: int = 0):
-    if root.leaf:
-        return [(root, lo, hi, depth)]
-    left_hi = hi.copy()
-    left_hi[root.var] = root.cut
-    right_lo = lo.copy()
-    right_lo[root.var] = root.cut
-    return _collect_leaves(root.left, lo, left_hi, depth + 1) + _collect_leaves(
-        root.right, right_lo, hi, depth + 1
-    )
-
-
-def _collect_prunable(root: _SNode, lo: np.ndarray, hi: np.ndarray, depth: int = 0):
-    if root.leaf:
-        return []
-    out = []
-    if root.left.leaf and root.right.leaf:
-        out.append((root, lo, hi, depth))
-    left_hi = hi.copy()
-    left_hi[root.var] = root.cut
-    right_lo = lo.copy()
-    right_lo[root.var] = root.cut
-    out += _collect_prunable(root.left, lo, left_hi, depth + 1)
-    out += _collect_prunable(root.right, right_lo, hi, depth + 1)
-    return out
-
-
-def _count_prunable(root: _SNode) -> int:
-    if root.leaf:
-        return 0
-    if root.left.leaf and root.right.leaf:
-        return 1
-    return _count_prunable(root.left) + _count_prunable(root.right)
+    idx: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    depth: int
+    cuts: dict
+    parent: Optional[_SNode] = None
+    var: int = -1
+    cut: float = 0.0
+    left: Optional[_SNode] = None
+    right: Optional[_SNode] = None
+    mu: float = 0.0
 
 
 class _TreeState:
-    """One tree plus the shared training design and cutpoint grids."""
+    """One tree plus the shared training design and cutpoint grids.
+
+    ``leaves`` lists the leaves left to right: a birth replaces a leaf's entry
+    with its two children, a death replaces two sibling leaves with their parent.
+    """
 
     def __init__(self, X: np.ndarray, domain: Domain, grids: list[np.ndarray], cfg: BartConfig):
         self.X = X
-        self.domain = domain
         self.grids = grids
         self.cfg = cfg
-        self.root = _SNode(np.arange(len(X)))
+        self.root = self.new_node(np.arange(len(X)), domain.lo, domain.hi, 0)
+        self.leaves = [self.root]
 
     # -- split bookkeeping ---------------------------------------------------
 
-    def valid_cuts(self, node: _SNode, lo: np.ndarray, hi: np.ndarray, var: int) -> np.ndarray:
-        grid = self.grids[var]
-        cuts = grid[(grid > lo[var]) & (grid < hi[var])]
-        if cuts.size == 0:
-            return cuts
-        xs = np.sort(self.X[node.idx, var])
-        n_left = np.searchsorted(xs, cuts, side="left")
-        ok = (n_left >= self.cfg.min_leaf_obs) & (len(xs) - n_left >= self.cfg.min_leaf_obs)
-        return cuts[ok]
+    def new_node(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray, depth: int,
+                 parent: Optional[_SNode] = None) -> _SNode:
+        """A node over training rows ``idx`` and box [lo, hi), with its cut table.
 
-    def valid_vars(self, node: _SNode, lo: np.ndarray, hi: np.ndarray) -> list[int]:
-        if len(node.idx) < 2 * self.cfg.min_leaf_obs:
-            return []
-        return [v for v in range(self.X.shape[1]) if self.valid_cuts(node, lo, hi, v).size > 0]
-
-    def has_valid_split(self, node: _SNode, lo: np.ndarray, hi: np.ndarray) -> bool:
-        return len(self.valid_vars(node, lo, hi)) > 0
+        A grid cut is valid when it lies strictly inside the box and leaves
+        at least ``min_leaf_obs`` of the rows on each side.
+        """
+        k, m = len(idx), self.cfg.min_leaf_obs
+        cuts = {}
+        if k >= 2 * m:
+            xs = np.sort(self.X[idx], axis=0)
+            for v, grid in enumerate(self.grids):
+                c = grid[(grid > lo[v]) & (grid < hi[v])]
+                n_left = np.searchsorted(xs[:, v], c, side="left")
+                c = c[(n_left >= m) & (k - n_left >= m)]
+                if c.size:
+                    cuts[v] = c
+        return _SNode(idx, lo, hi, depth, cuts, parent)
 
     def p_split(self, depth: int) -> float:
         return self.cfg.tree_prior_alpha * (1.0 + depth) ** (-self.cfg.tree_prior_beta)
 
-    def growable(self):
-        leaves = _collect_leaves(self.root, self.domain.lo, self.domain.hi)
-        return [lf for lf in leaves if self.has_valid_split(lf[0], lf[1], lf[2])]
+    def growable(self) -> list[_SNode]:
+        return [lf for lf in self.leaves if lf.cuts]
+
+    def prunable(self) -> list[_SNode]:
+        """Nodes whose children are both leaves, in left-to-right order."""
+        return [
+            lf.parent for lf in self.leaves
+            if lf.parent is not None and lf.parent.left is lf and lf.parent.right.left is None
+        ]
+
+    def split(self, node: _SNode, var: int, cut: float) -> tuple[_SNode, _SNode]:
+        """The two children that splitting leaf ``node`` at ``x[var] < cut`` makes."""
+        mask = self.X[node.idx, var] < cut
+        hi_l = node.hi.copy()
+        hi_l[var] = cut
+        lo_r = node.lo.copy()
+        lo_r[var] = cut
+        return (
+            self.new_node(node.idx[mask], node.lo, hi_l, node.depth + 1, node),
+            self.new_node(node.idx[~mask], lo_r, node.hi, node.depth + 1, node),
+        )
+
+    def draw_split(self, node: _SNode, rng: np.random.Generator) -> tuple[int, float]:
+        """A uniform variable among those with a valid cut, then a uniform cut."""
+        vs = list(node.cuts)
+        var = vs[int(rng.integers(len(vs)))]
+        cuts = node.cuts[var]
+        return var, float(cuts[int(rng.integers(len(cuts)))])
 
     # -- moves ----------------------------------------------------------------
 
-    def apply_birth(self, node: _SNode, var: int, cut: float) -> None:
-        mask = self.X[node.idx, var] < cut
-        left = _SNode(node.idx[mask], parent=node)
-        right = _SNode(node.idx[~mask], parent=node)
-        left.mu = node.mu
-        right.mu = node.mu
-        node.leaf = False
-        node.var = var
-        node.cut = cut
-        node.left = left
-        node.right = right
+    def apply_birth(self, node: _SNode, var: int, cut: float,
+                    children: tuple[_SNode, _SNode]) -> None:
+        """Turn leaf ``node`` into a split with ``children`` from ``split``."""
+        left, right = children
+        left.mu = right.mu = node.mu
+        node.var, node.cut, node.left, node.right = var, cut, left, right
         node.idx = np.empty(0, dtype=int)
+        i = self.leaves.index(node)
+        self.leaves[i:i + 1] = children
 
     def apply_death(self, node: _SNode) -> None:
+        i = self.leaves.index(node.left)
+        self.leaves[i:i + 2] = [node]
         node.idx = np.concatenate([node.left.idx, node.right.idx])
         node.mu = node.left.mu
-        node.leaf = True
-        node.left = None
-        node.right = None
-        node.var = -1
+        node.left = node.right = None
 
     # -- Metropolis step -------------------------------------------------------
 
@@ -290,31 +294,20 @@ class _TreeState:
             growable = self.growable()
             if not growable:
                 return False
-            node, lo, hi, depth = growable[int(rng.integers(len(growable)))]
-            vs = self.valid_vars(node, lo, hi)
-            var = vs[int(rng.integers(len(vs)))]
-            cuts = self.valid_cuts(node, lo, hi, var)
-            cut = float(cuts[int(rng.integers(len(cuts)))])
-
-            mask = self.X[node.idx, var] < cut
-            idx_l, idx_r = node.idx[mask], node.idx[~mask]
-            lo_l, hi_l = lo, hi.copy()
-            hi_l[var] = cut
-            lo_r, hi_r = lo.copy(), hi
-            lo_r[var] = cut
-            child_l = _SNode(idx_l)
-            child_r = _SNode(idx_r)
-            p_d = self.p_split(depth)
-            p_d1 = self.p_split(depth + 1)
-            f_l = (1.0 - p_d1) if self.has_valid_split(child_l, lo_l, hi_l) else 1.0
-            f_r = (1.0 - p_d1) if self.has_valid_split(child_r, lo_r, hi_r) else 1.0
+            node = growable[int(rng.integers(len(growable)))]
+            var, cut = self.draw_split(node, rng)
+            child_l, child_r = self.split(node, var, cut)
+            p_d = self.p_split(node.depth)
+            p_d1 = self.p_split(node.depth + 1)
+            f_l = (1.0 - p_d1) if child_l.cuts else 1.0
+            f_r = (1.0 - p_d1) if child_r.cuts else 1.0
 
             parent_was_prunable = (
                 node.parent is not None
-                and node.parent.left.leaf
-                and node.parent.right.leaf
+                and node.parent.left.left is None
+                and node.parent.right.left is None
             )
-            n_prunable_new = _count_prunable(self.root) + 1 - int(parent_was_prunable)
+            n_prunable_new = len(self.prunable()) + 1 - int(parent_was_prunable)
 
             log_ratio = (
                 math.log(p_d) - math.log1p(-p_d)
@@ -323,33 +316,26 @@ class _TreeState:
             )
             if not flat_likelihood:
                 stats_parent = [self._leaf_stats(node.idx, resid)]
-                stats_children = [self._leaf_stats(idx_l, resid), self._leaf_stats(idx_r, resid)]
+                stats_children = [self._leaf_stats(child_l.idx, resid),
+                                  self._leaf_stats(child_r.idx, resid)]
                 log_ratio += log_marginal_leaf(stats_children, sigma2, smu2)
                 log_ratio -= log_marginal_leaf(stats_parent, sigma2, smu2)
             if math.log(rng.random()) < log_ratio:
-                self.apply_birth(node, var, cut)
+                self.apply_birth(node, var, cut, (child_l, child_r))
                 return True
             return False
 
         # death
-        prunable = _collect_prunable(self.root, self.domain.lo, self.domain.hi)
+        prunable = self.prunable()
         if not prunable:
             return False
-        node, lo, hi, depth = prunable[int(rng.integers(len(prunable)))]
-        var = node.var
-        lo_l, hi_l = lo, hi.copy()
-        hi_l[var] = node.cut
-        lo_r, hi_r = lo.copy(), hi
-        lo_r[var] = node.cut
-        p_d = self.p_split(depth)
-        p_d1 = self.p_split(depth + 1)
-        f_l = (1.0 - p_d1) if self.has_valid_split(node.left, lo_l, hi_l) else 1.0
-        f_r = (1.0 - p_d1) if self.has_valid_split(node.right, lo_r, hi_r) else 1.0
-
-        growable_now = self.growable()
-        n_growable_after = 1 + sum(
-            1 for lf in growable_now if lf[0] is not node.left and lf[0] is not node.right
-        )
+        node = prunable[int(rng.integers(len(prunable)))]
+        p_d = self.p_split(node.depth)
+        p_d1 = self.p_split(node.depth + 1)
+        f_l = (1.0 - p_d1) if node.left.cuts else 1.0
+        f_r = (1.0 - p_d1) if node.right.cuts else 1.0
+        # the merged node is growable again; its children leave the count
+        n_growable_after = 1 + sum(1 for lf in self.leaves if lf.cuts and lf.parent is not node)
 
         log_ratio = (
             math.log1p(-p_d) - math.log(p_d)
@@ -373,11 +359,8 @@ class _TreeState:
     # -- conditional draws ------------------------------------------------------
 
     def draw_leaf_means(self, resid: np.ndarray, sigma2: float, sigma_mu2: float,
-                        rng: np.random.Generator, from_prior: bool = False) -> None:
-        for node, _, _, _ in _collect_leaves(self.root, self.domain.lo, self.domain.hi):
-            if from_prior:
-                node.mu = math.sqrt(sigma_mu2) * rng.standard_normal()
-                continue
+                        rng: np.random.Generator) -> None:
+        for node in self.leaves:
             k, s, _ = self._leaf_stats(node.idx, resid)
             var_post = 1.0 / (k / sigma2 + 1.0 / sigma_mu2)
             mean_post = var_post * s / sigma2
@@ -385,7 +368,7 @@ class _TreeState:
 
     def predict(self) -> np.ndarray:
         fit = np.empty(len(self.X))
-        for node, _, _, _ in _collect_leaves(self.root, self.domain.lo, self.domain.hi):
+        for node in self.leaves:
             fit[node.idx] = node.mu
         return fit
 
@@ -393,28 +376,23 @@ class _TreeState:
 
     def to_tree(self) -> Tree:
         def rec(node: _SNode) -> Node:
-            if node.leaf:
+            if node.left is None:
                 return Leaf(node.mu)
             return Split(node.var, node.cut, rec(node.left), rec(node.right))
 
         return Tree(rec(self.root))
 
     def load_tree(self, tree: Tree) -> None:
-        def rec(node: Node, idx: np.ndarray, parent: Optional[_SNode]) -> _SNode:
-            snode = _SNode(idx, parent)
+        """Grow ``tree`` on this state, which must still be a single leaf."""
+        def rec(snode: _SNode, node: Node) -> None:
             if isinstance(node, Leaf):
                 snode.mu = node.mu
-                return snode
-            mask = self.X[idx, node.var] < node.cut
-            snode.leaf = False
-            snode.var = node.var
-            snode.cut = node.cut
-            snode.idx = np.empty(0, dtype=int)
-            snode.left = rec(node.left, idx[mask], snode)
-            snode.right = rec(node.right, idx[~mask], snode)
-            return snode
+                return
+            self.apply_birth(snode, node.var, node.cut, self.split(snode, node.var, node.cut))
+            rec(snode.left, node.left)
+            rec(snode.right, node.right)
 
-        self.root = rec(tree.root, np.arange(len(self.X)), None)
+        rec(self.root, tree.root)
 
 
 def cutpoint_grids(X: np.ndarray, n_cutpoints: int) -> list[np.ndarray]:
@@ -436,24 +414,15 @@ def sample_prior_tree(X: np.ndarray, domain: Domain, cfg: BartConfig,
     gen = as_generator(rng)
     state = _TreeState(np.asarray(X, dtype=float), domain, cutpoint_grids(X, cfg.n_cutpoints), cfg)
 
-    def rec(node: _SNode, lo: np.ndarray, hi: np.ndarray, depth: int) -> None:
-        vs = state.valid_vars(node, lo, hi)
-        if not vs:
+    def rec(node: _SNode) -> None:
+        if not node.cuts or gen.random() >= state.p_split(node.depth):
             return
-        if gen.random() >= state.p_split(depth):
-            return
-        var = vs[int(gen.integers(len(vs)))]
-        cuts = state.valid_cuts(node, lo, hi, var)
-        cut = float(cuts[int(gen.integers(len(cuts)))])
-        state.apply_birth(node, var, cut)
-        hi_l = hi.copy()
-        hi_l[var] = cut
-        lo_r = lo.copy()
-        lo_r[var] = cut
-        rec(node.left, lo, hi_l, depth + 1)
-        rec(node.right, lo_r, hi, depth + 1)
+        var, cut = state.draw_split(node, gen)
+        state.apply_birth(node, var, cut, state.split(node, var, cut))
+        rec(node.left)
+        rec(node.right)
 
-    rec(state.root, domain.lo, domain.hi, 0)
+    rec(state.root)
     return state.to_tree()
 
 

@@ -175,6 +175,30 @@ def test_cli_error_paths(tmp_path):
                  "--alpha", "0.25", "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("body, problem", [
+    ("", "need at least 2 data rows, found 0"),
+    ("0.1,0.2,1.0,2.0\n", "need at least 2 data rows, found 1"),
+    ("0.5,0.1,1.0,2.0\n0.5,0.9,3.0,1.0\n0.5,0.4,2.0,2.5\n", "input column x1 is constant"),
+])
+def test_fit_input_errors_name_file_and_problem(tmp_path, capsys, body, problem):
+    data = tmp_path / "train.csv"
+    data.write_text("x1,x2,y1,y2\n" + body)
+    out = tmp_path / "draws.jsonl"
+    assert main(["fit", "--data", str(data), "--out", str(out)] + FIT_FLAGS) == 1
+    assert capsys.readouterr().err == f"error: {data}: {problem}\n"
+    assert not out.exists()
+
+
+def test_simulate_rejects_alpha_outside_unit_interval(tmp_path, capsys):
+    args = list(SIM_ARGS)
+    args[args.index("--alpha-rs") + 1] = "1.0"
+    assert main(args + ["--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "alpha_rs=1.0" in err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_rejects_empty_attainment_band(tmp_path, capsys):
     args = list(SIM_ARGS)
     args[args.index("--draws") + 1] = "3"

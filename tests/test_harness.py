@@ -158,6 +158,16 @@ def test_scenario_rejects_empty_attainment_band():
         Scenario(benchmark="mop2", n=40, alpha_rs=0.25, bart=BartConfig(n_draws=n_draws))
 
 
+def test_scenario_rejects_alpha_outside_unit_interval():
+    with pytest.raises(ValueError, match=r"^alpha_rs=1\.0 must be in \(0, 1\)$"):
+        Scenario(benchmark="mop2", n=40, alpha_rs=1.0)
+    with pytest.raises(ValueError, match=r"^alpha_mbd=1\.5 must be in \(0, 1\)$"):
+        Scenario(benchmark="mop2", n=40, alpha_mbd=1.5)
+    for bad in (0.0, -0.25, float("nan")):
+        with pytest.raises(ValueError, match="must be in"):
+            Scenario(benchmark="mop2", n=40, alpha_mbd=bad)
+
+
 def test_exp_transform_commutes_with_front_extraction():
     # fronts of exponentiated values equal exponentiated fronts
     rng = np.random.default_rng(6)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,10 +20,12 @@ from treefront import (
     sample_prior_tree,
     sample_sigma2,
     scale_outputs,
+    tree_leaf_regions,
 )
+from treefront.fileio import write_draws
 from treefront.harness import maximin_lhs
 from treefront.sampler import _TreeState, cutpoint_grids
-from treefront.trees import Leaf, Tree
+from treefront.trees import Leaf, Tree, node_to_dict
 
 from conftest import stump
 
@@ -187,13 +191,12 @@ def _fresh_state(n=60, seed=0, cfg=None):
 
 def test_birth_then_death_restores_topology():
     state = _fresh_state()
-    lo, hi = UNIT2.lo, UNIT2.hi
     leaf = state.root
-    cuts = state.valid_cuts(leaf, lo, hi, 0)
-    state.apply_birth(leaf, 0, float(cuts[0]))
-    assert not state.root.leaf
+    cut = float(leaf.cuts[0][0])
+    state.apply_birth(leaf, 0, cut, state.split(leaf, 0, cut))
+    assert state.root.left is not None
     state.apply_death(state.root)
-    assert state.root.leaf
+    assert state.root.left is None
     assert set(state.root.idx.tolist()) == set(range(60))
 
 
@@ -203,25 +206,75 @@ def test_chain_never_violates_min_leaf_obs():
     resid = rng.normal(0, 0.2, size=80)
     for _ in range(2000):
         state.mh_step(resid, 0.05, rng)
-        leaves = [len(lf[0].idx) for lf in state.growable()] or [80]
-        from treefront.sampler import _collect_leaves
-
-        for node, _, _, _ in _collect_leaves(state.root, UNIT2.lo, UNIT2.hi):
-            assert len(node.idx) >= 10 or state.root.leaf
+        for node in state.leaves:
+            assert len(node.idx) >= 10 or state.root.left is None
 
 
 def test_proposals_only_use_interior_cuts_with_enough_points():
     state = _fresh_state(n=40, cfg=BartConfig(min_leaf_obs=15))
-    cuts = state.valid_cuts(state.root, UNIT2.lo, UNIT2.hi, 0)
+    cuts = state.root.cuts[0]
     xs = np.sort(state.X[:, 0])
     for c in cuts:
         n_left = int(np.searchsorted(xs, c, side="left"))
         assert 15 <= n_left <= 40 - 15
         assert 0.0 < c < 1.0
-    small = state.valid_cuts(
-        type(state.root)(np.arange(10)), UNIT2.lo, UNIT2.hi, 0
-    )
-    assert small.size == 0  # a 10-point leaf cannot split under min 15
+    small = state.new_node(np.arange(10), UNIT2.lo, UNIT2.hi, 0).cuts
+    assert 0 not in small  # a 10-point leaf cannot split under min 15
+
+
+def _recount_prunable(node):
+    if node.left is None:
+        return []
+    if node.left.left is None and node.right.left is None:
+        return [node]
+    return _recount_prunable(node.left) + _recount_prunable(node.right)
+
+
+def _leaf_depths(node, depth=0):
+    if isinstance(node, Leaf):
+        return [depth]
+    return _leaf_depths(node.left, depth + 1) + _leaf_depths(node.right, depth + 1)
+
+
+def test_leaf_table_matches_tree_after_every_step():
+    # the leaf list and each node's box, depth, rows and cut table are kept
+    # incrementally; after every move they must equal a recomputation from
+    # the tree itself
+    rng = np.random.default_rng(25)
+    n, m = 60, 5
+    state = _fresh_state(n=n, seed=26, cfg=BartConfig(min_leaf_obs=m))
+    X, grids = state.X, state.grids
+    resid = np.sin(6 * X[:, 0]) * X[:, 1] + rng.normal(0, 0.1, size=n)
+    births = deaths = 0
+    for _ in range(1500):
+        before = len(state.leaves)
+        state.mh_step(resid, 0.05, rng)
+        births += len(state.leaves) > before
+        deaths += len(state.leaves) < before
+        state.draw_leaf_means(resid, 0.05, 0.1, rng)
+
+        tree = state.to_tree()
+        assert [lf.mu for lf in state.leaves] == [lf.mu for lf in tree.leaves()]
+        regions = tree_leaf_regions(tree, UNIT2)
+        assert len(regions) == len(state.leaves)
+        for node, (box, _), depth in zip(state.leaves, regions, _leaf_depths(tree.root)):
+            assert tuple(node.lo) == box.lo and tuple(node.hi) == box.hi
+            assert node.depth == depth
+            upper_ok = (X < node.hi) | ((node.hi >= UNIT2.hi) & (X <= node.hi))
+            inside = np.flatnonzero(np.all((X >= node.lo) & upper_ok, axis=1))
+            assert sorted(node.idx.tolist()) == inside.tolist()
+            table = {}
+            for v, grid in enumerate(grids):
+                xs = X[node.idx, v]
+                ok = [c for c in grid if node.lo[v] < c < node.hi[v]
+                      and m <= np.sum(xs < c) <= len(xs) - m]
+                if ok:
+                    table[v] = ok
+            assert list(node.cuts) == list(table)
+            assert all(node.cuts[v].tolist() == table[v] for v in table)
+        recount = _recount_prunable(state.root)
+        assert [id(nd) for nd in state.prunable()] == [id(nd) for nd in recount]
+    assert births > 50 and deaths > 50
 
 
 def test_mh_tree_step_wrapper_round_trip():
@@ -245,7 +298,7 @@ def test_flat_likelihood_chain_matches_prior_depth_distribution():
     grids = cutpoint_grids(X, cfg.n_cutpoints)
 
     def depth(tree_root):
-        if tree_root.leaf:
+        if tree_root.left is None:
             return 0
         return 1 + max(depth(tree_root.left), depth(tree_root.right))
 
@@ -341,6 +394,28 @@ def test_fit_bart_seeded_runs_identical():
         assert s2_a == s2_b
 
 
+def test_seeded_sampler_output_pinned(tmp_path):
+    # recorded once and never re-recorded: the digests pin the sampler's RNG
+    # consumption and its float summation order
+    rng = np.random.default_rng(40)
+    X = rng.random((40, 2))
+    Y = np.column_stack([X[:, 0] ** 2 - X[:, 1], X[:, 0] * X[:, 1]])
+    cfg = BartConfig(m=10, min_leaf_obs=5, n_burn=40, n_draws=5)
+    path = tmp_path / "draws.jsonl"
+    write_draws(path, fit_multi_bart(Dataset(X, Y, UNIT2), cfg, seed=41))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "dae0b665529919cb2bf3d8c35a227cdbe07baff416d830c057eee7ee9bc736ba"
+    )
+    prior_rng = np.random.default_rng(42)
+    prior_cfg = BartConfig(min_leaf_obs=3)
+    trees = [
+        node_to_dict(sample_prior_tree(X, UNIT2, prior_cfg, prior_rng).root) for _ in range(20)
+    ]
+    assert hashlib.sha256(json.dumps(trees).encode()).hexdigest() == (
+        "f77a209c1a154ad2122cd3fcf02fc5b33ab311095e504039b3778ee06b440688"
+    )
+
+
 def test_fit_bart_chain_stays_finite_and_positive():
     rng = np.random.default_rng(17)
     X = rng.random((50, 2))
@@ -355,8 +430,6 @@ def test_fit_bart_chain_stays_finite_and_positive():
 
 
 def test_fitted_trees_respect_leaf_size_floor():
-    from treefront import tree_leaf_regions
-
     rng = np.random.default_rng(30)
     X = rng.random((60, 2))
     y = np.sin(5 * X[:, 0]) + rng.normal(0, 0.05, 60)
