@@ -3,9 +3,11 @@
 A sum of trees is piecewise constant, so a multi-output ensemble attains
 finitely many values; each value is attained on an axis-aligned box and the
 boxes partition the domain.  Cells are built by folding trees in one at a
-time against the current partition and dropping empty intersections, which
-keeps the cell count at the number of realizable regions instead of the
-full product over leaves.
+time: the current cells are routed down the tree's splits, and each leaf
+keeps the cells whose boxes meet its own, clipped to it.  A cell reaches
+only the leaves it meets, so no empty intersection is ever formed, and the
+cell count stays at the number of realizable regions instead of the full
+product over leaves.
 
 Cells with coincident values but different boxes stay distinct, so preimage
 queries can return every box mapping to a given image point.
@@ -18,7 +20,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .trees import Domain, Ensemble, Hyperrectangle, MultiEnsemble, tree_leaf_regions
+from .trees import Domain, Ensemble, Hyperrectangle, Leaf, MultiEnsemble, Node
 
 
 def intersect_boxes(a: Hyperrectangle, b: Hyperrectangle) -> Optional[Hyperrectangle]:
@@ -53,6 +55,16 @@ class ImageAtlas:
     def alphas(self) -> np.ndarray:
         """(n_cells, d) array of image values, raw units."""
         return self._alphas
+
+    @property
+    def los(self) -> np.ndarray:
+        """(n_cells, p) array of the cells' lower box corners."""
+        return self._los
+
+    @property
+    def his(self) -> np.ndarray:
+        """(n_cells, p) array of the cells' upper box corners."""
+        return self._his
 
     @property
     def d(self) -> int:
@@ -98,36 +110,61 @@ class ImageAtlas:
         return ImageAtlas(alphas, self._los, self._his, self.domain)
 
 
+def _route(node: Node, cells: np.ndarray, rows: np.ndarray, p: int, clips: dict,
+           out: list) -> None:
+    """Append to out, for each leaf under node in left-to-right order, the
+    given rows of cells whose boxes meet the leaf's box, the columns to clip
+    them on, and the leaf value.
+
+    A cell row packs lo | hi | sums.  At a split (v, c) a row goes left when
+    its lo[v] < c and right when its hi[v] > c, which is exactly when its box
+    meets that side; rows stay ascending on both sides.  clips maps each lo
+    or hi column that a cut on the path bounds to the path's tightest cut on
+    it.  Every other column already lies inside the leaf's box, since cells
+    lie inside the domain, so clipping it would change nothing.
+    """
+    if not len(rows):
+        return
+    if isinstance(node, Leaf):
+        out.append((rows, clips, node.mu))
+        return
+    v, cut = node.var, node.cut
+    # a valid tree's cut lies strictly inside the path's box, so it is the tightest bound
+    _route(node.left, cells, rows[cells[rows, v] < cut], p, {**clips, p + v: cut}, out)
+    _route(node.right, cells, rows[cells[rows, p + v] > cut], p, {**clips, v: cut}, out)
+
+
 def _fold(ensembles: tuple[Ensemble, ...], domain: Domain):
     """Refine the domain against every tree of every ensemble.
 
-    Returns (sums, los, his) where sums[:, j] accumulates ensemble j's leaf
-    values in tree order, still in scaled units.
+    Each tree routes the current cells to its leaves (see _route).  The next
+    cells are each leaf's rows, clipped to its box and with its value added,
+    leaf after leaf from left to right.  Returns (sums, los, his) where
+    sums[:, j] accumulates ensemble j's leaf values in tree order, still in
+    scaled units.  The trees were validated when their ensembles were built.
     """
     p = domain.p
-    d = len(ensembles)
-    los = domain.lo.reshape(1, p)
-    his = domain.hi.reshape(1, p)
-    sums = np.zeros((1, d))
+    width = 2 * p + len(ensembles)
+    # rows are gathered as opaque fixed-size records, which numpy copies about
+    # twice as fast as it fancy-indexes the rows of a float matrix; the bytes
+    # are the same
+    record = np.dtype((np.void, 8 * width))
+    cells = np.concatenate([domain.lo, domain.hi, np.zeros(len(ensembles))]).reshape(1, width)
     for j, ens in enumerate(ensembles):
         for tree in ens.trees:
-            regions = tree_leaf_regions(tree, domain)
-            new_lo, new_hi, new_sum = [], [], []
-            for box, mu in regions:
-                lo = np.maximum(los, np.array(box.lo))
-                hi = np.minimum(his, np.array(box.hi))
-                keep = np.all(lo < hi, axis=1)
-                if not np.any(keep):
-                    continue
-                s = sums[keep].copy()
-                s[:, j] += mu
-                new_lo.append(lo[keep])
-                new_hi.append(hi[keep])
-                new_sum.append(s)
-            los = np.vstack(new_lo)
-            his = np.vstack(new_hi)
-            sums = np.vstack(new_sum)
-    return sums, los, his
+            leaves: list = []
+            _route(tree.root, cells, np.arange(len(cells)), p, {}, leaves)
+            order = np.concatenate([rows for rows, _, _ in leaves])
+            cells = cells.view(record)[order, 0].view(np.float64).reshape(-1, width)
+            at = 0
+            for rows, clips, mu in leaves:
+                block = cells[at:at + len(rows)]
+                for c, cut in clips.items():
+                    clip = np.maximum if c < p else np.minimum
+                    clip(block[:, c], cut, out=block[:, c])
+                block[:, 2 * p + j] += mu
+                at += len(rows)
+    return cells[:, 2 * p:].copy(), cells[:, :p].copy(), cells[:, p:2 * p].copy()
 
 
 def ensemble_cells(ens: Ensemble) -> list[tuple[float, Hyperrectangle]]:

@@ -55,14 +55,14 @@ def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[Par
     """One line per draw: its cells, optionally front points and set boxes."""
     with open(path, "w", newline="\n") as fh:
         for draw_index, atlas, result in entries:
+            # tolist() yields Python floats, which json writes with the same
+            # repr as the numpy floats they come from
             rec = {
                 "draw_index": draw_index,
                 "cells": [
-                    {
-                        "alpha": list(map(float, cell.alpha)),
-                        "box": {"lo": list(cell.box.lo), "hi": list(cell.box.hi)},
-                    }
-                    for cell in atlas
+                    {"alpha": alpha, "box": {"lo": lo, "hi": hi}}
+                    for alpha, lo, hi in zip(atlas.alphas.tolist(), atlas.los.tolist(),
+                                             atlas.his.tolist())
                 ],
             }
             if result is not None:
@@ -170,8 +170,8 @@ def read_points_csv(path) -> np.ndarray:
 
 def read_dataset_csv(path):
     """Training table with header x1..xp,y1..yd; returns (X, Y).  The inputs'
-    bounding box becomes the model domain, so it needs two rows and no constant
-    input column."""
+    bounding box becomes the model domain and each output is scaled by its
+    range, so it needs two rows and no constant column."""
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -183,7 +183,8 @@ def read_dataset_csv(path):
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, found {len(rows)}")
     data = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    for i in xcols:
-        if data[:, i].min() == data[:, i].max():
-            raise ValueError(f"{path}: input column {header[i]} is constant")
+    for kind, cols in (("input", xcols), ("output", ycols)):
+        for i in cols:
+            if data[:, i].min() == data[:, i].max():
+                raise ValueError(f"{path}: {kind} column {header[i]} is constant")
     return data[:, xcols], data[:, ycols]

@@ -1,19 +1,32 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from treefront import (
+    BartConfig,
+    Dataset,
     Domain,
     Ensemble,
     Hyperrectangle,
+    Leaf,
     MultiEnsemble,
     OutputTransform,
+    Split,
+    Tree,
     ensemble_cells,
     eval_ensemble,
     eval_multi,
+    fit_multi_bart,
+    get_benchmark,
     intersect_boxes,
+    maximin_lhs,
     multi_cells,
     tree_leaf_regions,
 )
+from treefront.atlas import _fold
+from treefront.cli import main
+from treefront.fileio import write_csv
 
 from conftest import (
     PAIRED_STUMP_IMAGE,
@@ -21,7 +34,9 @@ from conftest import (
     random_ensemble,
     random_multi,
     random_tree,
+    stump,
 )
+from oracles import leaf_box_fold
 
 UNIT2 = Domain.unit(2)
 
@@ -151,3 +166,82 @@ def test_alphas_untransformed_once_per_cell():
         mid = box.midpoint()
         assert alpha == eval_ensemble(ens, mid, units="raw")
         assert alpha == float(ens.transform.to_raw(eval_ensemble(ens, mid, units="scaled")))
+
+
+# -- the fold against the leaf-box oracle, byte for byte ---------------------------------------
+
+def _assert_fold_matches_oracle(ensembles, domain):
+    got = _fold(ensembles, domain)
+    want = leaf_box_fold(ensembles, domain)
+    for name, g, w in zip(("sums", "los", "his"), got, want):
+        assert g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("bench_name, n", [("dtlz2m", 128), ("mop2", 128), ("zdt3", 96)])
+def test_fold_matches_oracle_on_sampler_draws(bench_name, n):
+    # dtlz2m has p=4 and gives tens of thousands of cells per draw
+    bench = get_benchmark(bench_name)
+    X = maximin_lhs(n, bench.p, 1, restarts=1)
+    cfg = BartConfig(m=30, n_burn=60, n_draws=8)
+    for draw in fit_multi_bart(Dataset(X, bench.evaluate(X), bench.domain), cfg, seed=1):
+        _assert_fold_matches_oracle(draw.me.outputs, draw.me.domain)
+
+
+def _chain(var, cuts, mus):
+    """Right-leaning chain of splits on one variable."""
+    node = Leaf(mus[-1])
+    for cut, mu in zip(reversed(cuts), reversed(mus[:-1])):
+        node = Split(var, cut, Leaf(mu), node)
+    return Tree(node)
+
+
+HAND_BUILT = {
+    "root_is_leaf": ((Tree(Leaf(0.7)), stump(1, 0.4, -1.0, 2.0)), (Tree(Leaf(-0.3)),)),
+    "chain_of_four_splits": (
+        (stump(0, 0.5, 1.0, -1.0), _chain(0, (0.2, 0.4, 0.6, 0.8), (1.0, 2.0, 3.0, 4.0, 5.0))),
+        (_chain(0, (0.1, 0.3, 0.7, 0.9), (-1.0, -2.0, -3.0, -4.0, -5.0)),),
+    ),
+    "same_cut_twice": (
+        (stump(0, 0.5, 1.0, 2.0), stump(0, 0.5, 3.0, 4.0)),
+        (stump(1, 0.25, 0.5, 0.0), stump(0, 0.5, -1.0, 1.0)),
+    ),
+    # output 1 only cuts x2, so its cells straddle output 2's cut on x1
+    "straddle_in_one_output": (
+        (stump(1, 0.5, 1.0, 2.0),),
+        (stump(0, 0.3, -1.0, 1.0), Tree(Split(1, 0.6, stump(0, 0.7, 0.1, 0.2).root, Leaf(0.3)))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_fold_matches_oracle_on_hand_built_trees(case):
+    dom = Domain.unit(2)
+    ident = OutputTransform.identity()
+    me = MultiEnsemble(tuple(Ensemble(trees, ident, dom) for trees in HAND_BUILT[case]))
+    _assert_fold_matches_oracle(me.outputs, dom)
+
+
+def test_fold_matches_oracle_on_random_trees_off_the_unit_box():
+    rng = np.random.default_rng(8)
+    dom = Domain(((-2.0, 1.5), (0.25, 3.0), (-1.0, -0.5)))
+    for _ in range(5):
+        outputs = tuple(random_ensemble(rng, dom, m=6, max_depth=4) for _ in range(2))
+        _assert_fold_matches_oracle(outputs, dom)
+
+
+def test_seeded_atlas_file_pinned(tmp_path):
+    # the setup of C10; recorded once on the leaf-box fold and never re-recorded
+    bench = get_benchmark("mop2")
+    X = maximin_lhs(24, 2, 0, restarts=1, n_swaps=100)
+    data = tmp_path / "train.csv"
+    write_csv(data, ["x1", "x2", "y1", "y2"], [list(x) + list(y) for x, y in zip(X, bench.evaluate(X))])
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "draws.jsonl"),
+                 "--m", "10", "--min-leaf", "5", "--burn", "50", "--draws", "12",
+                 "--seed", "3"]) == 0
+    atlas = tmp_path / "atlas.jsonl"
+    assert main(["extract", "--draws", str(tmp_path / "draws.jsonl"), "--out", str(atlas),
+                 "--front"]) == 0
+    assert hashlib.sha256(atlas.read_bytes()).hexdigest() == (
+        "0b03827be76ff2a67388ffc57e33257ef6c56f702960ca9374cc3519dfbd8fd6"
+    )

@@ -179,6 +179,7 @@ def test_cli_error_paths(tmp_path):
     ("", "need at least 2 data rows, found 0"),
     ("0.1,0.2,1.0,2.0\n", "need at least 2 data rows, found 1"),
     ("0.5,0.1,1.0,2.0\n0.5,0.9,3.0,1.0\n0.5,0.4,2.0,2.5\n", "input column x1 is constant"),
+    ("0.1,0.1,1.0,2.0\n0.9,0.9,1.0,1.0\n0.4,0.4,1.0,2.5\n", "output column y1 is constant"),
 ])
 def test_fit_input_errors_name_file_and_problem(tmp_path, capsys, body, problem):
     data = tmp_path / "train.csv"
