@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of seeded outputs, to show a speed-up is byte-identical.
+
+Runs the seeded CLI workflow (`fit --burn 20 --draws 25 --seed 3`,
+`extract --front`, `uq` rs 0.25 and mbd 0.5) on 128-row training sets of
+unit-scaled mop2 and zdt3, and one `run_scenario` of dtlz2m at n=128,
+60 burn + 8 draws, one LHS restart.  Prints one line per output file and
+one for the pickled scenario report (timings left out).  Run it on two
+checkouts and compare the output:
+
+    python3 scripts/seeded_digests.py > digests.txt
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import pickle
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from treefront import BartConfig, Scenario, get_benchmark, run_scenario, unit_scale
+from treefront.cli import main as cli_main
+from treefront.fileio import write_csv
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli(argv) -> None:
+    with redirect_stdout(StringIO()):
+        if cli_main(argv) != 0:
+            raise SystemExit(f"treefront {' '.join(argv)} failed")
+
+
+def cli_workflow(name: str, root: Path) -> list[Path]:
+    bench = unit_scale(get_benchmark(name))
+    X = np.random.default_rng(7).random((128, bench.p))
+    Y = bench.evaluate(X)
+    d = root / name
+    d.mkdir()
+    header = [f"x{j + 1}" for j in range(bench.p)] + [f"y{j + 1}" for j in range(Y.shape[1])]
+    write_csv(d / "train.csv", header, np.hstack([X, Y]))
+    draws, atlas = str(d / "draws.jsonl"), str(d / "atlas.jsonl")
+    _cli(["fit", "--data", str(d / "train.csv"), "--out", draws,
+          "--burn", "20", "--draws", "25", "--seed", "3"])
+    _cli(["extract", "--draws", draws, "--out", atlas, "--front"])
+    _cli(["uq", "--atlas", atlas, "--method", "rs", "--alpha", "0.25", "--out-dir", str(d / "uq")])
+    _cli(["uq", "--atlas", atlas, "--method", "mbd", "--alpha", "0.5", "--out-dir", str(d / "uq")])
+    return sorted(p for p in d.rglob("*") if p.is_file())
+
+
+def scenario_report() -> bytes:
+    sc = Scenario(benchmark="dtlz2m", n=128, bart=BartConfig(n_burn=60, n_draws=8),
+                  seed=1, lhs_restarts=1)
+    report = run_scenario(sc)
+    return pickle.dumps(dataclasses.replace(report, timings={}), protocol=4)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("mop2", "zdt3"):
+            for path in cli_workflow(name, root):
+                print(f"{_sha(path.read_bytes())}  {path.relative_to(root)}")
+    print(f"{_sha(scenario_report())}  dtlz2m_p4 run_scenario report")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,7 +156,7 @@ def read_points_csv(path) -> np.ndarray:
     """Coordinate columns (y1.., or box lo/hi columns reduced to centroids)."""
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [list(map(float, r)) for r in reader if r]
     data = np.array(rows, dtype=float).reshape(len(rows), len(header))
     ycols = [i for i, name in enumerate(header) if name.startswith("y")]
@@ -171,11 +172,13 @@ def read_points_csv(path) -> np.ndarray:
 def read_dataset_csv(path):
     """Training table with header x1..xp,y1..yd; returns (X, Y).  The inputs'
     bounding box becomes the model domain and each output is scaled by its
-    range, so it needs two rows and no constant column."""
+    range, so it needs two rows, finite numbers in every field of every row,
+    and no constant column.  An error names the file, and the line and
+    column of a bad field."""
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, r)) for r in reader if r]
+        header = next(reader, [])
+        rows = [_dataset_row(path, reader.line_num, header, r) for r in reader if r]
     xcols = [i for i, name in enumerate(header) if name.startswith("x")]
     ycols = [i for i, name in enumerate(header) if name.startswith("y")]
     if not xcols or not ycols:
@@ -188,3 +191,18 @@ def read_dataset_csv(path):
             if data[:, i].min() == data[:, i].max():
                 raise ValueError(f"{path}: {kind} column {header[i]} is constant")
     return data[:, xcols], data[:, ycols]
+
+
+def _dataset_row(path, line: int, header: Sequence[str], fields: Sequence[str]) -> list[float]:
+    if len(fields) != len(header):
+        raise ValueError(f"{path}: line {line} has {len(fields)} fields, expected {len(header)}")
+    row = []
+    for name, field in zip(header, fields):
+        try:
+            value = float(field)
+        except ValueError:
+            raise ValueError(f"{path}: line {line}, column {name}: {field!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {line}, column {name}: {field!r} is not finite")
+        row.append(value)
+    return row

@@ -32,6 +32,12 @@ def maximin_lhs(n: int, p: int, rng, restarts: int = 8,
     Each of ``restarts`` random hypercubes is improved by hill-climbing on
     within-column swaps (which preserve the one-point-per-stratum property);
     the candidate with the largest minimum pairwise distance wins.
+
+    A swap moves design rows ``i1`` and ``i2`` only, so the minimum distance
+    can rise only when every pair at the current minimum includes one of
+    them.  Any other swap is rejected before a distance is computed; its
+    random draws are taken first, so the design does not depend on the
+    shortcut.
     """
     if n < 2:
         raise ValueError("need at least two design points")
@@ -47,15 +53,19 @@ def maximin_lhs(n: int, p: int, rng, restarts: int = 8,
             design[:, j] = (gen.permutation(n) + gen.random(n)) / n
         d2 = _sq_dists(design)
         cur_min = d2.min()
+        min_pairs = np.argwhere(d2 == cur_min).tolist()
         for _ in range(n_swaps):
             j = int(gen.integers(p))
-            i1, i2 = gen.choice(n, size=2, replace=False)
+            i1, i2 = gen.choice(n, size=2, replace=False).tolist()
+            if any(i1 not in pair and i2 not in pair for pair in min_pairs):
+                continue
             design[i1, j], design[i2, j] = design[i2, j], design[i1, j]
             old_r1, old_r2 = d2[i1].copy(), d2[i2].copy()
             _update_rows(d2, design, i1, i2)
             new_min = d2.min()
             if new_min > cur_min:
                 cur_min = new_min
+                min_pairs = np.argwhere(d2 == cur_min).tolist()
             else:
                 design[i1, j], design[i2, j] = design[i2, j], design[i1, j]
                 d2[i1], d2[:, i1] = old_r1, old_r1

@@ -11,6 +11,15 @@ A tree being sampled keeps its leaves in one left-to-right list, and each
 node fixes its box, depth and table of valid cuts when it is created, so a
 birth or death only swaps list entries and no step re-walks the tree.
 
+The sampler works in integer code space, as the R ``BART`` package does
+with its cut matrix: each input is coded once, as the number of its
+variable's grid values at or below it, so ``x < grid[j]`` holds exactly
+when ``code <= j``.  A node's cut table is then one count of its rows'
+codes rather than a sort of its rows.  Cuts stay the grid's floats, and a
+tree step sums each leaf's residuals once: the leaf-mean draw reuses the
+sums the Metropolis ratio took, in the same order, so the chain's RNG use
+and arithmetic are those of the float formulation.
+
 Conventions fixed here rather than tuned per run:
 
 * outputs are centered/rescaled so observed min/max map to -/+ 0.5;
@@ -193,16 +202,34 @@ class _SNode:
 
 
 class _TreeState:
-    """One tree plus the shared training design and cutpoint grids.
+    """One tree plus the shared training design, cutpoint grids and input codes.
 
     ``leaves`` lists the leaves left to right: a birth replaces a leaf's entry
     with its two children, a death replaces two sibling leaves with their parent.
+
+    Inputs are coded when the state is made: ``codes[i, v]`` is the number of
+    grid values of variable ``v`` at or below ``X[i, v]``, plus the offset
+    ``v * width``, so ``X[i, v] < grids[v][j]`` holds exactly when
+    ``codes[i, v] - v * width <= j`` and all variables share one count vector
+    of ``p * width`` bins.
+
+    ``mh_step`` keeps the residual sums its proposal takes, and
+    ``draw_leaf_means`` on the same residual array reuses those of the
+    current leaves instead of summing their rows again.
     """
 
     def __init__(self, X: np.ndarray, domain: Domain, grids: list[np.ndarray], cfg: BartConfig):
+        if np.any(X < domain.lo) or np.any(X > domain.hi):
+            raise ValueError("training inputs outside domain")
         self.X = X
         self.grids = grids
         self.cfg = cfg
+        self.width = max(len(g) for g in grids) + 1
+        self.codes = np.column_stack(
+            [np.searchsorted(g, X[:, v], side="right") + v * self.width for v, g in enumerate(grids)]
+        )
+        self.sums_resid: Optional[np.ndarray] = None
+        self.sums: dict = {}
         self.root = self.new_node(np.arange(len(X)), domain.lo, domain.hi, 0)
         self.leaves = [self.root]
 
@@ -212,19 +239,31 @@ class _TreeState:
                  parent: Optional[_SNode] = None) -> _SNode:
         """A node over training rows ``idx`` and box [lo, hi), with its cut table.
 
-        A grid cut is valid when it lies strictly inside the box and leaves
-        at least ``min_leaf_obs`` of the rows on each side.
+        A grid cut is valid when it leaves at least ``min_leaf_obs`` of the
+        ``k`` rows on each side.  The table is read off one count of the
+        rows' codes: after a cumulative sum along each variable's bins,
+        ``n_left[v, j]`` is the number of rows with ``x[v] < grids[v][j]``.
+        It does not fall as ``j`` grows, so the valid ``j`` with
+        ``m <= n_left[v, j] <= k - m`` form one run, and bins past the end of
+        a shorter grid hold ``n_left = k`` and are never in it.
+
+        A valid cut also lies strictly inside the box, because the rows lie in
+        the box and ``min_leaf_obs >= 1``: a cut at or below ``lo[v]`` leaves
+        no row on the left, and a cut at or above ``hi[v]`` leaves all ``k``
+        there (``hi[v]`` is then an earlier cut, as grid values lie below the
+        largest input and so below the domain's face).
         """
         k, m = len(idx), self.cfg.min_leaf_obs
         cuts = {}
         if k >= 2 * m:
-            xs = np.sort(self.X[idx], axis=0)
-            for v, grid in enumerate(self.grids):
-                c = grid[(grid > lo[v]) & (grid < hi[v])]
-                n_left = np.searchsorted(xs[:, v], c, side="left")
-                c = c[(n_left >= m) & (k - n_left >= m)]
-                if c.size:
-                    cuts[v] = c
+            p = len(self.grids)
+            counts = np.bincount(self.codes[idx].ravel(), minlength=p * self.width)
+            n_left = counts.reshape(p, self.width).cumsum(axis=1)
+            first = (n_left < m).sum(axis=1).tolist()
+            stop = (n_left <= k - m).sum(axis=1).tolist()
+            for v in range(p):
+                if first[v] < stop[v]:
+                    cuts[v] = self.grids[v][first[v]:stop[v]]
         return _SNode(idx, lo, hi, depth, cuts, parent)
 
     def p_split(self, depth: int) -> float:
@@ -282,13 +321,22 @@ class _TreeState:
 
     def _leaf_stats(self, idx: np.ndarray, resid: np.ndarray):
         r = resid[idx]
-        return (len(r), float(r.sum()), float((r * r).sum()))
+        return (len(r), float(np.add.reduce(r)), float(np.add.reduce(r * r)))
+
+    def _proposal_stats(self, resid: np.ndarray, nodes: tuple, rows: tuple) -> list:
+        """Leaf stats of ``resid`` over each of ``rows``.  The sums are kept for
+        ``draw_leaf_means``, keyed by ``nodes``: whichever of them are leaves
+        after the proposal hold exactly those rows in that order."""
+        stats = [self._leaf_stats(idx, resid) for idx in rows]
+        self.sums_resid = resid
+        self.sums = {nd: st[1] for nd, st in zip(nodes, stats)}
+        return stats
 
     def mh_step(self, resid: np.ndarray, sigma2: float, rng: np.random.Generator,
                 flat_likelihood: bool = False) -> bool:
         """One birth-or-death proposal; returns whether it was accepted."""
-        cfg = self.cfg
-        smu2 = cfg.sigma_mu2
+        self.sums_resid, self.sums = None, {}
+        smu2 = self.cfg.sigma_mu2
         if rng.random() < 0.5:
             # birth
             growable = self.growable()
@@ -315,11 +363,10 @@ class _TreeState:
                 + math.log(len(growable)) - math.log(n_prunable_new)
             )
             if not flat_likelihood:
-                stats_parent = [self._leaf_stats(node.idx, resid)]
-                stats_children = [self._leaf_stats(child_l.idx, resid),
-                                  self._leaf_stats(child_r.idx, resid)]
-                log_ratio += log_marginal_leaf(stats_children, sigma2, smu2)
-                log_ratio -= log_marginal_leaf(stats_parent, sigma2, smu2)
+                st_node, st_l, st_r = self._proposal_stats(
+                    resid, (node, child_l, child_r), (node.idx, child_l.idx, child_r.idx))
+                log_ratio += log_marginal_leaf([st_l, st_r], sigma2, smu2)
+                log_ratio -= log_marginal_leaf([st_node], sigma2, smu2)
             if math.log(rng.random()) < log_ratio:
                 self.apply_birth(node, var, cut, (child_l, child_r))
                 return True
@@ -343,14 +390,12 @@ class _TreeState:
             - math.log(n_growable_after) + math.log(len(prunable))
         )
         if not flat_likelihood:
+            # the merged rows are left then right, as apply_death sets them
             merged = np.concatenate([node.left.idx, node.right.idx])
-            stats_children = [
-                self._leaf_stats(node.left.idx, resid),
-                self._leaf_stats(node.right.idx, resid),
-            ]
-            stats_merged = [self._leaf_stats(merged, resid)]
-            log_ratio += log_marginal_leaf(stats_merged, sigma2, smu2)
-            log_ratio -= log_marginal_leaf(stats_children, sigma2, smu2)
+            st_node, st_l, st_r = self._proposal_stats(
+                resid, (node, node.left, node.right), (merged, node.left.idx, node.right.idx))
+            log_ratio += log_marginal_leaf([st_node], sigma2, smu2)
+            log_ratio -= log_marginal_leaf([st_l, st_r], sigma2, smu2)
         if math.log(rng.random()) < log_ratio:
             self.apply_death(node)
             return True
@@ -360,11 +405,17 @@ class _TreeState:
 
     def draw_leaf_means(self, resid: np.ndarray, sigma2: float, sigma_mu2: float,
                         rng: np.random.Generator) -> None:
-        for node in self.leaves:
-            k, s, _ = self._leaf_stats(node.idx, resid)
-            var_post = 1.0 / (k / sigma2 + 1.0 / sigma_mu2)
+        """Conjugate normal draw of every leaf mean, left to right."""
+        known = self.sums if resid is self.sums_resid else {}
+        self.sums_resid, self.sums = None, {}
+        zs = rng.standard_normal(len(self.leaves)).tolist()
+        for node, z in zip(self.leaves, zs):
+            s = known.get(node)
+            if s is None:
+                s = float(np.add.reduce(resid[node.idx]))
+            var_post = 1.0 / (len(node.idx) / sigma2 + 1.0 / sigma_mu2)
             mean_post = var_post * s / sigma2
-            node.mu = mean_post + math.sqrt(var_post) * rng.standard_normal()
+            node.mu = mean_post + math.sqrt(var_post) * z
 
     def predict(self) -> np.ndarray:
         fit = np.empty(len(self.X))

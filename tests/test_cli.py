@@ -180,6 +180,9 @@ def test_cli_error_paths(tmp_path):
     ("0.1,0.2,1.0,2.0\n", "need at least 2 data rows, found 1"),
     ("0.5,0.1,1.0,2.0\n0.5,0.9,3.0,1.0\n0.5,0.4,2.0,2.5\n", "input column x1 is constant"),
     ("0.1,0.1,1.0,2.0\n0.9,0.9,1.0,1.0\n0.4,0.4,1.0,2.5\n", "output column y1 is constant"),
+    ("0.1,0.2,1.0,2.0\n0.3,nan,1.5,1.0\n", "line 3, column x2: 'nan' is not finite"),
+    ("0.1,0.2,1.0,2.0\n0.3,0.4,1.5,inf\n", "line 3, column y2: 'inf' is not finite"),
+    ("0.1,0.2,1.0,2.0\n0.3,0.4,1.5\n0.5,0.6,2.0,1.0\n", "line 3 has 3 fields, expected 4"),
 ])
 def test_fit_input_errors_name_file_and_problem(tmp_path, capsys, body, problem):
     data = tmp_path / "train.csv"
@@ -188,6 +191,16 @@ def test_fit_input_errors_name_file_and_problem(tmp_path, capsys, body, problem)
     assert main(["fit", "--data", str(data), "--out", str(out)] + FIT_FLAGS) == 1
     assert capsys.readouterr().err == f"error: {data}: {problem}\n"
     assert not out.exists()
+
+
+def test_empty_csv_names_file(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["fit", "--data", str(empty), "--out", str(tmp_path / "d.jsonl")] + FIT_FLAGS) == 1
+    assert capsys.readouterr().err == f"error: {empty}: expected header columns x1..xp and y1..yd\n"
+    assert main(["metrics", "--cloud", str(empty), "--truth", str(empty),
+                 "--out", str(tmp_path / "cov.csv")]) == 1
+    assert capsys.readouterr().err == f"error: no coordinate columns found in {empty}\n"
 
 
 def test_simulate_rejects_alpha_outside_unit_interval(tmp_path, capsys):

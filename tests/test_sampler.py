@@ -236,6 +236,91 @@ def _leaf_depths(node, depth=0):
     return _leaf_depths(node.left, depth + 1) + _leaf_depths(node.right, depth + 1)
 
 
+def _assert_float_cut_table(node, X, grids, m):
+    # the cut table by float comparisons: every grid value strictly inside the
+    # node's box that leaves at least m of its rows on each side
+    table = {}
+    for v, grid in enumerate(grids):
+        xs = X[node.idx, v]
+        ok = [c for c in grid if node.lo[v] < c < node.hi[v]
+              and m <= np.sum(xs < c) <= len(xs) - m]
+        if ok:
+            table[v] = ok
+    assert list(node.cuts) == list(table)
+    assert all(node.cuts[v].tolist() == table[v] for v in table)
+
+
+def _hard_inputs(rng, n):
+    lattice = np.arange(32) / 31  # each interior value is a cutpoint of [0, 1]
+    ties = rng.integers(0, 5, size=n) / 4
+    on_cuts = np.concatenate([[0.0, 1.0], rng.choice(lattice, size=n - 2)])
+    return {
+        "ties": np.column_stack([ties, rng.integers(0, 3, size=n) / 2]),
+        "on_cuts": np.column_stack([on_cuts, rng.permutation(on_cuts)]),
+        "constant_column": np.column_stack([rng.random(n), np.full(n, 0.5)]),
+        "p3": np.column_stack([ties, on_cuts, rng.random(n)]),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("case", ["ties", "on_cuts", "constant_column", "p3"])
+def test_cut_table_matches_float_comparisons_on_hard_inputs(case, m):
+    # the integer-coded table must equal the float one where codes are easiest
+    # to get wrong: ties, inputs equal to a cutpoint, an empty grid, the
+    # smallest leaf floor and three variables; nodes come from random growth
+    # (boxes that hold their rows) and random row subsets of the root
+    rng = np.random.default_rng(31)
+    X = _hard_inputs(rng, 60)[case]
+    domain = Domain.unit(X.shape[1])
+    grids = cutpoint_grids(X, 30)
+    if case == "on_cuts":
+        assert np.isin(X, grids[0]).sum() > 50
+    if case == "constant_column":
+        assert grids[1].size == 0
+    state = _TreeState(X, domain, grids, BartConfig(min_leaf_obs=m))
+    checked = 0
+    for _ in range(3):
+        stack = [state.root]
+        while stack:
+            node = stack.pop()
+            _assert_float_cut_table(node, X, grids, m)
+            checked += 1
+            if node.cuts:
+                var, cut = state.draw_split(node, rng)
+                stack.extend(state.split(node, var, cut))
+    for k in range(2 * m, len(X) + 1, 7):
+        node = state.new_node(np.sort(rng.choice(len(X), k, replace=False)), domain.lo, domain.hi, 0)
+        _assert_float_cut_table(node, X, grids, m)
+    assert checked > 20
+
+
+def test_leaf_means_reuse_only_sums_of_the_same_residuals():
+    # draw_leaf_means reuses the leaf sums mh_step took on the same residual
+    # array; on another array it sums every leaf itself.  Either way each mean
+    # must equal the conjugate draw from freshly taken sums, to the last bit.
+    # Residuals spread over six decades make a sum depend on its order, and a
+    # large error variance lets the prior accept many births and deaths.
+    rng = np.random.default_rng(12)
+    state = _fresh_state(n=60, seed=13)
+    resid = rng.normal(size=60) * 10.0 ** rng.uniform(-3, 3, size=60)
+    sigma2, sigma_mu2 = 1e6, 0.1
+    moves = 0
+    for step in range(600):
+        moves += state.mh_step(resid, sigma2, rng)
+        for node in state.leaves:
+            if node in state.sums:
+                assert state.sums[node] == float(np.sum(resid[node.idx]))
+        used = resid if step % 3 else resid + 0.5
+        seed = int(rng.integers(1 << 30))
+        state.draw_leaf_means(used, sigma2, sigma_mu2, np.random.default_rng(seed))
+        zs = np.random.default_rng(seed).standard_normal(len(state.leaves))
+        for node, z in zip(state.leaves, zs):
+            var_post = 1.0 / (len(node.idx) / sigma2 + 1.0 / sigma_mu2)
+            mean_post = var_post * float(np.sum(used[node.idx])) / sigma2
+            assert node.mu == mean_post + math.sqrt(var_post) * z
+    assert moves > 100
+
+
 def test_leaf_table_matches_tree_after_every_step():
     # the leaf list and each node's box, depth, rows and cut table are kept
     # incrementally; after every move they must equal a recomputation from
@@ -263,15 +348,7 @@ def test_leaf_table_matches_tree_after_every_step():
             upper_ok = (X < node.hi) | ((node.hi >= UNIT2.hi) & (X <= node.hi))
             inside = np.flatnonzero(np.all((X >= node.lo) & upper_ok, axis=1))
             assert sorted(node.idx.tolist()) == inside.tolist()
-            table = {}
-            for v, grid in enumerate(grids):
-                xs = X[node.idx, v]
-                ok = [c for c in grid if node.lo[v] < c < node.hi[v]
-                      and m <= np.sum(xs < c) <= len(xs) - m]
-                if ok:
-                    table[v] = ok
-            assert list(node.cuts) == list(table)
-            assert all(node.cuts[v].tolist() == table[v] for v in table)
+            _assert_float_cut_table(node, X, grids, m)
         recount = _recount_prunable(state.root)
         assert [id(nd) for nd in state.prunable()] == [id(nd) for nd in recount]
     assert births > 50 and deaths > 50
