@@ -2,11 +2,13 @@
 """Print SHA-256 digests of seeded outputs, to show a speed-up is byte-identical.
 
 Runs the seeded CLI workflow (`fit --burn 20 --draws 25 --seed 3`,
-`extract --front`, `uq` rs 0.25 and mbd 0.5) on 128-row training sets of
-unit-scaled mop2 and zdt3, and one `run_scenario` of dtlz2m at n=128,
-60 burn + 8 draws, one LHS restart.  Prints one line per output file and
-one for the pickled scenario report (timings left out).  Run it on two
-checkouts and compare the output:
+`extract` with and without `--front`, `uq` rs 0.25 and mbd 0.5) on 128-row
+training sets of unit-scaled mop2 and zdt3, one `run_scenario` of dtlz2m at
+n=128, 60 burn + 8 draws, one LHS restart, and one `run_turning` at n=150,
+50 burn + 15 draws, m=10, one LHS restart, seed 9.  Prints one line per
+output file, one for the pickled scenario report (timings left out) and one
+for the pickled turning result.  Run it on two checkouts and compare the
+output:
 
     python3 scripts/seeded_digests.py > digests.txt
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from treefront import BartConfig, Scenario, get_benchmark, run_scenario, unit_scale
+from treefront import BartConfig, Scenario, get_benchmark, run_scenario, run_turning, unit_scale
 from treefront.cli import main as cli_main
 from treefront.fileio import write_csv
 
@@ -52,6 +54,7 @@ def cli_workflow(name: str, root: Path) -> list[Path]:
     _cli(["fit", "--data", str(d / "train.csv"), "--out", draws,
           "--burn", "20", "--draws", "25", "--seed", "3"])
     _cli(["extract", "--draws", draws, "--out", atlas, "--front"])
+    _cli(["extract", "--draws", draws, "--out", str(d / "atlas_cells.jsonl")])
     _cli(["uq", "--atlas", atlas, "--method", "rs", "--alpha", "0.25", "--out-dir", str(d / "uq")])
     _cli(["uq", "--atlas", atlas, "--method", "mbd", "--alpha", "0.5", "--out-dir", str(d / "uq")])
     return sorted(p for p in d.rglob("*") if p.is_file())
@@ -64,6 +67,11 @@ def scenario_report() -> bytes:
     return pickle.dumps(dataclasses.replace(report, timings={}), protocol=4)
 
 
+def turning_result() -> bytes:
+    res = run_turning(n=150, draws=15, burn=50, seed=9, m=10, lhs_restarts=1)
+    return pickle.dumps(res, protocol=4)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -74,6 +82,7 @@ def main() -> int:
             for path in cli_workflow(name, root):
                 print(f"{_sha(path.read_bytes())}  {path.relative_to(root)}")
     print(f"{_sha(scenario_report())}  dtlz2m_p4 run_scenario report")
+    print(f"{_sha(turning_result())}  turning run_turning result")
     return 0
 
 

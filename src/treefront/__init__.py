@@ -2,7 +2,7 @@
 posteriors: exact front/set extraction per posterior draw plus attainment-
 and depth-based uncertainty clouds."""
 
-from .atlas import ImageAtlas, ImageCell, ensemble_cells, intersect_boxes, multi_cells
+from .atlas import ImageAtlas, multi_cells
 from .band_depth import (
     DepthResult,
     Staircase,
@@ -32,7 +32,7 @@ from .harness import (
     run_turning,
 )
 from .metrics import avg_dist, coverage, dist_point_to_set, ps_cloud_to_points
-from .pareto import Dominance, FrontPoint, ParetoResult, dominates, kung_front, pf_ps
+from .pareto import FrontPoint, ParetoResult, kung_front, pf_ps
 from .random_sets import (
     CPF,
     CellRefError,
@@ -41,7 +41,6 @@ from .random_sets import (
     PFCloud,
     PSCloud,
     SourcedBox,
-    dpsc_contains,
     eaf,
     pf_cloud_rs,
     ps_cloud,
@@ -54,8 +53,6 @@ from .sampler import (
     fit_bart,
     fit_multi_bart,
     log_marginal_leaf,
-    mh_tree_step,
-    sample_leaf_means,
     sample_prior_tree,
     sample_sigma2,
     scale_outputs,

@@ -15,29 +15,9 @@ queries can return every box mapping to a given image point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
-
 import numpy as np
 
 from .trees import Domain, Ensemble, Hyperrectangle, Leaf, MultiEnsemble, Node
-
-
-def intersect_boxes(a: Hyperrectangle, b: Hyperrectangle) -> Optional[Hyperrectangle]:
-    """Componentwise intersection; None when empty under the half-open rule."""
-    if a.p != b.p:
-        raise ValueError(f"dimension mismatch: {a.p} vs {b.p}")
-    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
-    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
-    if any(l >= h for l, h in zip(lo, hi)):
-        return None
-    return Hyperrectangle(lo, hi)
-
-
-@dataclass(frozen=True)
-class ImageCell:
-    alpha: tuple[float, ...]
-    box: Hyperrectangle
 
 
 class ImageAtlas:
@@ -75,16 +55,6 @@ class ImageAtlas:
 
     def box(self, i: int) -> Hyperrectangle:
         return Hyperrectangle(tuple(self._los[i]), tuple(self._his[i]))
-
-    def cell(self, i: int) -> ImageCell:
-        return ImageCell(tuple(self._alphas[i]), self.box(i))
-
-    def __iter__(self) -> Iterator[ImageCell]:
-        return (self.cell(i) for i in range(len(self)))
-
-    @property
-    def cells(self) -> list[ImageCell]:
-        return list(self)
 
     def total_volume(self) -> float:
         return float(np.prod(self._his - self._los, axis=1).sum())
@@ -165,16 +135,6 @@ def _fold(ensembles: tuple[Ensemble, ...], domain: Domain):
                 block[:, 2 * p + j] += mu
                 at += len(rows)
     return cells[:, 2 * p:].copy(), cells[:, :p].copy(), cells[:, p:2 * p].copy()
-
-
-def ensemble_cells(ens: Ensemble) -> list[tuple[float, Hyperrectangle]]:
-    """Image cells of a single-output ensemble, values in raw units."""
-    sums, los, his = _fold((ens,), ens.domain)
-    raw = ens.transform.to_raw(sums[:, 0])
-    return [
-        (float(raw[i]), Hyperrectangle(tuple(los[i]), tuple(his[i])))
-        for i in range(len(raw))
-    ]
 
 
 def multi_cells(me: MultiEnsemble) -> ImageAtlas:

@@ -11,10 +11,10 @@ from pathlib import Path
 from . import fileio
 from .atlas import multi_cells
 from .band_depth import modified_band_depth, pf_cloud_mbd
-from .harness import Scenario, run_scenario
+from .harness import Scenario, extract_cpfs, run_scenario
 from .metrics import coverage
 from .pareto import pf_ps
-from .random_sets import CPF, pf_cloud_rs, ps_cloud
+from .random_sets import CPF, pf_cloud_rs, ps_cloud, require_rs_band
 from .sampler import BartConfig, Dataset, fit_multi_bart
 from .trees import Domain
 
@@ -58,11 +58,11 @@ def cmd_fit(args) -> int:
 
 def cmd_extract(args) -> int:
     draws = fileio.read_draws(args.draws_file)
-    entries = []
-    for i, draw in enumerate(draws):
-        atlas = multi_cells(draw.me)
-        result = pf_ps(atlas) if args.front else None
-        entries.append((i, atlas, result))
+    if args.front:
+        atlases, cpfs = extract_cpfs(draws)
+        entries = [(i, atlases[i], cpf) for i, cpf in enumerate(cpfs)]
+    else:
+        entries = [(i, multi_cells(draw.me), None) for i, draw in enumerate(draws)]
     fileio.write_atlas_file(args.out, entries)
     print(f"wrote {len(entries)} atlases to {args.out}")
     return 0
@@ -70,6 +70,8 @@ def cmd_extract(args) -> int:
 
 def cmd_uq(args) -> int:
     entries = fileio.read_atlas_file(args.atlas)
+    if args.method == "rs":
+        require_rs_band(len(entries), args.alpha)
     atlases = {i: at for i, at in entries}
     cpfs = [CPF.from_result(i, pf_ps(at)) for i, at in entries]
     out_dir = Path(args.out_dir)

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .atlas import ImageAtlas
-from .pareto import ParetoResult
-from .random_sets import PFCloud, PSCloud
+from .random_sets import CPF, PFCloud, PSCloud
 from .sampler import PosteriorDraw
 from .trees import (
     Domain,
@@ -52,10 +51,13 @@ def read_draws(path) -> list[PosteriorDraw]:
     return out
 
 
-def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[ParetoResult]]]) -> None:
-    """One line per draw: its cells, optionally front points and set boxes."""
+def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[CPF]]]) -> None:
+    """One line per draw: its cells, optionally its front points and set boxes.
+
+    The set boxes are the boxes of the front points' cells, in front order.
+    """
     with open(path, "w", newline="\n") as fh:
-        for draw_index, atlas, result in entries:
+        for draw_index, atlas, cpf in entries:
             # tolist() yields Python floats, which json writes with the same
             # repr as the numpy floats they come from
             rec = {
@@ -66,13 +68,14 @@ def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[Par
                                              atlas.his.tolist())
                 ],
             }
-            if result is not None:
+            if cpf is not None:
                 rec["front"] = [
                     {"objective": list(fp.objective), "cell_refs": list(fp.cell_refs)}
-                    for fp in result.front
+                    for fp in cpf.points
                 ]
                 rec["set_boxes"] = [
-                    {"lo": list(b.lo), "hi": list(b.hi)} for b in result.set_boxes
+                    {"lo": atlas.los[r].tolist(), "hi": atlas.his[r].tolist()}
+                    for fp in cpf.points for r in fp.cell_refs
                 ]
             fh.write(json.dumps(rec) + "\n")
 
@@ -153,20 +156,25 @@ def write_points_csv(path, points: np.ndarray) -> None:
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Coordinate columns (y1.., or box lo/hi columns reduced to centroids)."""
+    """Coordinate columns (y1.., or box lo/hi columns reduced to centroids).
+
+    Every field must be a finite number, and the table needs a data row; an
+    error names the file, and the line and column of a bad field."""
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [list(map(float, r)) for r in reader if r]
-    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+        rows = [_dataset_row(path, reader.line_num, header, r) for r in reader if r]
     ycols = [i for i, name in enumerate(header) if name.startswith("y")]
-    if ycols:
-        return data[:, ycols]
     locols = [i for i, name in enumerate(header) if name.startswith("lo")]
     hicols = [i for i, name in enumerate(header) if name.startswith("hi")]
-    if locols and len(locols) == len(hicols):
-        return (data[:, locols] + data[:, hicols]) / 2.0
-    raise ValueError(f"no coordinate columns found in {path}")
+    if not ycols and not (locols and len(locols) == len(hicols)):
+        raise ValueError(f"no coordinate columns found in {path}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.array(rows, dtype=float)
+    if ycols:
+        return data[:, ycols]
+    return (data[:, locols] + data[:, hicols]) / 2.0
 
 
 def read_dataset_csv(path):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .band_depth import DepthResult, modified_band_depth, pf_cloud_mbd
 from .benchmarks import Benchmark, get_benchmark, unit_scale
 from .metrics import coverage, ps_cloud_to_points
 from .pareto import pf_ps
-from .random_sets import CPF, ObjectiveBox, PFCloud, PSCloud, pf_cloud_rs, ps_cloud
+from .random_sets import CPF, ObjectiveBox, PFCloud, PSCloud, pf_cloud_rs, ps_cloud, require_rs_band
 from .sampler import BartConfig, Dataset, as_generator, fit_multi_bart
 
 
@@ -132,12 +132,7 @@ class Scenario:
         for name in ("alpha_rs", "alpha_mbd"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name}={getattr(self, name)} must be in (0, 1)")
-        # attainments over N draws are k/N, computed and banded as in pf_cloud_rs
-        n, lo, hi = self.bart.n_draws, 0.5 - self.alpha_rs / 2.0, 0.5 + self.alpha_rs / 2.0
-        att = np.arange(1, n + 1) / n
-        if not np.any((lo <= att) & (att <= hi)):
-            raise ValueError(f"n_draws={n} with alpha_rs={self.alpha_rs}: "
-                             f"no attainment k/{n} lies in the RS band [{lo}, {hi}]")
+        require_rs_band(self.bart.n_draws, self.alpha_rs)
 
 
 @dataclass(frozen=True)
@@ -176,12 +171,20 @@ class ScenarioReport:
         return float(np.median(vals))
 
 
-def extract_cpfs(draws) -> tuple[dict[int, ImageAtlas], list[CPF]]:
-    """Atlas and exact front of every posterior draw."""
+def extract_cpfs(draws, output_map: Optional[Callable] = None
+                 ) -> tuple[dict[int, ImageAtlas], list[CPF]]:
+    """Atlas and exact front of every posterior draw.
+
+    ``output_map``, if given, maps each atlas's values before the front is
+    taken; it must be increasing in every output, so that it carries fronts
+    to fronts, and the atlases returned hold the mapped values.
+    """
     atlases: dict[int, ImageAtlas] = {}
     cpfs: list[CPF] = []
     for i, draw in enumerate(draws):
         at = multi_cells(draw.me)
+        if output_map is not None:
+            at = at.with_alphas(output_map(at.alphas))
         atlases[i] = at
         cpfs.append(CPF.from_result(i, pf_ps(at)))
     return atlases, cpfs
@@ -276,14 +279,7 @@ def run_turning(
     cfg = BartConfig(m=m, n_burn=burn, n_draws=draws)
     posterior = fit_multi_bart(data, cfg, s_fit)
 
-    atlases: dict[int, ImageAtlas] = {}
-    cpfs: list[CPF] = []
-    for i, draw in enumerate(posterior):
-        at = multi_cells(draw.me)
-        at = at.with_alphas(np.exp(at.alphas))
-        atlases[i] = at
-        cpfs.append(CPF.from_result(i, pf_ps(at)))
-
+    atlases, cpfs = extract_cpfs(posterior, np.exp)
     depth_res = modified_band_depth(cpfs, mbd_cuts)
     cloud = pf_cloud_mbd(cpfs, depth_res, alpha_mbd)
     psc = ps_cloud(cloud, atlases)

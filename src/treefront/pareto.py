@@ -12,31 +12,11 @@ half's survivors that no first-half survivor strictly dominates.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .trees import Hyperrectangle
-
-
-class Dominance(enum.Enum):
-    NONE = 0
-    WEAK = 1
-    STRICT = 2
-
-
-def dominates(v, w) -> Dominance:
-    """Relation of v over w: WEAK if v <= w everywhere, STRICT if also < somewhere."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape:
-        raise ValueError(f"length mismatch: {v.shape} vs {w.shape}")
-    if not np.all(v <= w):
-        return Dominance.NONE
-    if np.any(v < w):
-        return Dominance.STRICT
-    return Dominance.WEAK
 
 
 # Below this size the recursion (d >= 3 only) switches to the quadratic scan;

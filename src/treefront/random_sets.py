@@ -100,21 +100,11 @@ class PSCloud:
         return len(self.boxes)
 
 
-def dpsc_contains(cpf: CPF, y) -> bool:
-    """Whether y lies in the closed dominated region of the CPF."""
-    y = np.asarray(y, dtype=float)
-    pts = cpf.objectives()
-    if pts.size == 0:
-        return False
-    return bool(np.any(np.all(pts <= y, axis=1)))
-
-
 def eaf(cpfs: Sequence[CPF], y) -> float:
     """Fraction of the CPFs whose dominated region contains y."""
     if len(cpfs) == 0:
         raise ValueError("need at least one CPF")
-    hits = sum(dpsc_contains(c, y) for c in cpfs)
-    return hits / len(cpfs)
+    return float(_eaf_batch(cpfs, np.asarray(y, dtype=float)[None])[0])
 
 
 def _eaf_batch(cpfs: Sequence[CPF], queries: np.ndarray) -> np.ndarray:
@@ -130,6 +120,19 @@ def _eaf_batch(cpfs: Sequence[CPF], queries: np.ndarray) -> np.ndarray:
             contained |= np.all(queries >= p, axis=1)
         counts += contained
     return counts / len(cpfs)
+
+
+def require_rs_band(n: int, alpha_rs: float) -> None:
+    """Raise ValueError unless some attainment k/n lies in the RS band.
+
+    Attainments over n draws are k/n, computed and banded as in pf_cloud_rs;
+    with none in the band every RS cloud is empty.
+    """
+    lo, hi = 0.5 - alpha_rs / 2.0, 0.5 + alpha_rs / 2.0
+    att = np.arange(1, n + 1) / n
+    if not np.any((lo <= att) & (att <= hi)):
+        raise ValueError(f"n_draws={n} with alpha_rs={alpha_rs}: "
+                         f"no attainment k/{n} lies in the RS band [{lo}, {hi}]")
 
 
 def pf_cloud_rs(cpfs: Sequence[CPF], alpha_rs: float) -> PFCloud:

@@ -433,18 +433,6 @@ class _TreeState:
 
         return Tree(rec(self.root))
 
-    def load_tree(self, tree: Tree) -> None:
-        """Grow ``tree`` on this state, which must still be a single leaf."""
-        def rec(snode: _SNode, node: Node) -> None:
-            if isinstance(node, Leaf):
-                snode.mu = node.mu
-                return
-            self.apply_birth(snode, node.var, node.cut, self.split(snode, node.var, node.cut))
-            rec(snode.left, node.left)
-            rec(snode.right, node.right)
-
-        rec(self.root, tree.root)
-
 
 def cutpoint_grids(X: np.ndarray, n_cutpoints: int) -> list[np.ndarray]:
     """Equally spaced interior cutpoints over each observed input range."""
@@ -474,28 +462,6 @@ def sample_prior_tree(X: np.ndarray, domain: Domain, cfg: BartConfig,
         rec(node.right)
 
     rec(state.root)
-    return state.to_tree()
-
-
-def mh_tree_step(tree: Tree, X, residuals, sigma2: float, cfg: BartConfig,
-                 domain: Domain, rng: RngLike) -> Tree:
-    """One topology proposal applied to an immutable tree; rejection returns
-    a tree equal to the input."""
-    X = np.asarray(X, dtype=float)
-    state = _TreeState(X, domain, cutpoint_grids(X, cfg.n_cutpoints), cfg)
-    state.load_tree(tree)
-    state.mh_step(np.asarray(residuals, dtype=float), sigma2, as_generator(rng))
-    return state.to_tree()
-
-
-def sample_leaf_means(tree: Tree, X, residuals, sigma2: float, sigma_mu2: float,
-                      domain: Domain, rng: RngLike) -> Tree:
-    """Conjugate normal draw of every leaf mean given the residuals."""
-    X = np.asarray(X, dtype=float)
-    cfg = BartConfig(min_leaf_obs=1)
-    state = _TreeState(X, domain, cutpoint_grids(X, cfg.n_cutpoints), cfg)
-    state.load_tree(tree)
-    state.draw_leaf_means(np.asarray(residuals, dtype=float), sigma2, sigma_mu2, as_generator(rng))
     return state.to_tree()
 
 

@@ -13,7 +13,6 @@ the leaf boxes of any tree a true partition of the domain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Union
 
@@ -340,11 +339,3 @@ def ensemble_from_dict(obj: dict) -> Ensemble:
         transform=OutputTransform(float(obj["center"]), float(obj["scale"])),
         domain=domain_from_dict(obj["domain"]),
     )
-
-
-def ensemble_to_json(ens: Ensemble) -> str:
-    return json.dumps(ensemble_to_dict(ens))
-
-
-def ensemble_from_json(doc: str) -> Ensemble:
-    return ensemble_from_dict(json.loads(doc))

@@ -1,8 +1,51 @@
 """Reference implementations that tests compare the package against."""
 
+import enum
+from typing import Optional
+
 import numpy as np
 
-from treefront.trees import Domain, Ensemble, tree_leaf_regions
+from treefront import CPF
+from treefront.trees import Domain, Ensemble, Hyperrectangle, tree_leaf_regions
+
+
+def intersect_boxes(a: Hyperrectangle, b: Hyperrectangle) -> Optional[Hyperrectangle]:
+    """Componentwise intersection; None when empty under the half-open rule."""
+    if a.p != b.p:
+        raise ValueError(f"dimension mismatch: {a.p} vs {b.p}")
+    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
+    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
+    if any(l >= h for l, h in zip(lo, hi)):
+        return None
+    return Hyperrectangle(lo, hi)
+
+
+class Dominance(enum.Enum):
+    NONE = 0
+    WEAK = 1
+    STRICT = 2
+
+
+def dominates(v, w) -> Dominance:
+    """Relation of v over w: WEAK if v <= w everywhere, STRICT if also < somewhere."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.shape != w.shape:
+        raise ValueError(f"length mismatch: {v.shape} vs {w.shape}")
+    if not np.all(v <= w):
+        return Dominance.NONE
+    if np.any(v < w):
+        return Dominance.STRICT
+    return Dominance.WEAK
+
+
+def dpsc_contains(cpf: CPF, y) -> bool:
+    """Whether y lies in the closed dominated region of the CPF."""
+    y = np.asarray(y, dtype=float)
+    pts = cpf.objectives()
+    if pts.size == 0:
+        return False
+    return bool(np.any(np.all(pts <= y, axis=1)))
 
 
 def leaf_box_fold(ensembles: tuple[Ensemble, ...], domain: Domain):

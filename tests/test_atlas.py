@@ -14,12 +14,10 @@ from treefront import (
     OutputTransform,
     Split,
     Tree,
-    ensemble_cells,
     eval_ensemble,
     eval_multi,
     fit_multi_bart,
     get_benchmark,
-    intersect_boxes,
     maximin_lhs,
     multi_cells,
     tree_leaf_regions,
@@ -36,9 +34,15 @@ from conftest import (
     random_tree,
     stump,
 )
-from oracles import leaf_box_fold
+from oracles import intersect_boxes, leaf_box_fold
 
 UNIT2 = Domain.unit(2)
+
+
+def ensemble_cells(ens):
+    """(value, box) cells of a single-output ensemble, values in raw units."""
+    atlas = multi_cells(MultiEnsemble((ens,)))
+    return [(float(atlas.alphas[i, 0]), atlas.box(i)) for i in range(len(atlas))]
 
 
 def test_intersect_elementary():
@@ -118,8 +122,8 @@ def test_duplicated_output_repeats_alpha():
     singles = dict()
     for a, box in ensemble_cells(ens):
         singles[box] = a
-    for cell in atlas:
-        assert singles[cell.box] == cell.alpha[0]
+    for i in range(len(atlas)):
+        assert singles[atlas.box(i)] == atlas.alphas[i][0]
 
 
 def test_atlas_grid_membership_oracle():
@@ -186,6 +190,23 @@ def test_fold_matches_oracle_on_sampler_draws(bench_name, n):
     cfg = BartConfig(m=30, n_burn=60, n_draws=8)
     for draw in fit_multi_bart(Dataset(X, bench.evaluate(X), bench.domain), cfg, seed=1):
         _assert_fold_matches_oracle(draw.me.outputs, draw.me.domain)
+
+
+@pytest.mark.parametrize("bench_name", ["mop2", "zdt3", "dtlz2m"])
+def test_atlas_invariants_on_sampler_draws(bench_name):
+    # the cells partition the domain, and each training input's cell holds the
+    # draw's value there bit for bit: the fold and eval_ensemble both add the
+    # leaf values in tree order starting from 0.0, then map to raw units once
+    bench = get_benchmark(bench_name)
+    X = maximin_lhs(128, bench.p, 2, restarts=1)
+    cfg = BartConfig(m=30, n_burn=40, n_draws=4)
+    for draw in fit_multi_bart(Dataset(X, bench.evaluate(X), bench.domain), cfg, seed=2):
+        atlas = multi_cells(draw.me)
+        assert atlas.total_volume() == pytest.approx(draw.me.domain.volume, rel=1e-9)
+        for x in X:
+            i = atlas.contains_point_index(x)
+            assert i >= 0
+            assert eval_multi(draw.me, x).tobytes() == atlas.alphas[i].tobytes()
 
 
 def _chain(var, cuts, mus):

@@ -221,3 +221,38 @@ def test_simulate_rejects_empty_attainment_band(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "n_draws=3" in err and "alpha_rs=0.25" in err
     assert not (tmp_path / "sim").exists()
+
+
+def test_uq_rs_rejects_band_without_attainment(tmp_path, capsys):
+    # attainment over 3 draws is k/3, never inside [0.375, 0.625]
+    data = tmp_path / "train.csv"
+    X = maximin_lhs(40, 2, 0, restarts=1, n_swaps=100)
+    write_csv(data, ["x1", "x2", "y1", "y2"],
+              [list(x) + list(y) for x, y in zip(X, get_benchmark("mop2").evaluate(X))])
+    draws, atlas = tmp_path / "draws.jsonl", tmp_path / "atlas.jsonl"
+    assert main(["fit", "--data", str(data), "--out", str(draws),
+                 "--burn", "5", "--draws", "3", "--min-leaf", "5"]) == 0
+    assert main(["extract", "--draws", str(draws), "--out", str(atlas)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "uq"
+    assert main(["uq", "--atlas", str(atlas), "--method", "rs", "--alpha", "0.25",
+                 "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "n_draws=3 with alpha_rs=0.25" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("body, problem", [
+    ("0.1,0.2\n0.3,0.4,0.5\n", "line 3 has 3 fields, expected 2"),
+    ("0.1,abc\n", "line 2, column y2: 'abc' is not a number"),
+    ("", "no data rows"),
+])
+def test_metrics_input_errors_name_file_and_problem(tmp_path, capsys, body, problem):
+    cloud, truth = tmp_path / "cloud.csv", tmp_path / "truth.csv"
+    cloud.write_text("y1,y2\n" + body)
+    write_csv(truth, ["y1", "y2"], [[0.0, 0.0]])
+    out = tmp_path / "cov.csv"
+    assert main(["metrics", "--cloud", str(cloud), "--truth", str(truth), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cloud}: {problem}\n"
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -259,6 +260,16 @@ def test_turning_seeded_rerun_identical():
     b = run_turning(n=150, draws=15, burn=50, seed=9, m=10, lhs_restarts=1)
     assert a.cloud == b.cloud
     assert a.overcoverage == b.overcoverage
+
+
+def test_seeded_turning_pinned():
+    # recorded once on the turning loop before it ran through extract_cpfs,
+    # and never re-recorded: the digest pins the fit, the exp-mapped fronts,
+    # the depths, the cloud, its boxes and the coverage
+    res = run_turning(n=150, draws=15, burn=50, seed=9, m=10, lhs_restarts=1)
+    assert hashlib.sha256(pickle.dumps(res, protocol=4)).hexdigest() == (
+        "87b8d3bc50670078b783f1c911315db1765774b58b705d163bfae5a2259bcd9b"
+    )
 
 
 def test_extract_cpfs_consistency():

@@ -4,10 +4,7 @@ import pytest
 from treefront import (
     CPF,
     CellRefError,
-    Dominance,
     ObjectiveBox,
-    dominates,
-    dpsc_contains,
     eaf,
     multi_cells,
     pf_cloud_rs,
@@ -18,6 +15,7 @@ from treefront.harness import extract_cpfs
 from treefront.sampler import PosteriorDraw
 
 from conftest import paired_stump_ensembles, random_cpfs, random_multi
+from oracles import Dominance, dominates, dpsc_contains
 
 
 def oracle_contains(cpf, y):

@@ -15,8 +15,6 @@ from treefront import (
     fit_bart,
     fit_multi_bart,
     log_marginal_leaf,
-    mh_tree_step,
-    sample_leaf_means,
     sample_prior_tree,
     sample_sigma2,
     scale_outputs,
@@ -24,13 +22,45 @@ from treefront import (
 )
 from treefront.fileio import write_draws
 from treefront.harness import maximin_lhs
-from treefront.sampler import _TreeState, cutpoint_grids
+from treefront.sampler import _TreeState, as_generator, cutpoint_grids
 from treefront.trees import Leaf, Tree, node_to_dict
 
 from conftest import stump
 
 UNIT1 = Domain.unit(1)
 UNIT2 = Domain.unit(2)
+
+
+def _grown_state(tree, X, domain, cfg):
+    """A tree state on X with ``tree`` grown on it by split and apply_birth."""
+    X = np.asarray(X, dtype=float)
+    state = _TreeState(X, domain, cutpoint_grids(X, cfg.n_cutpoints), cfg)
+
+    def grow(snode, node):
+        if isinstance(node, Leaf):
+            snode.mu = node.mu
+            return
+        state.apply_birth(snode, node.var, node.cut, state.split(snode, node.var, node.cut))
+        grow(snode.left, node.left)
+        grow(snode.right, node.right)
+
+    grow(state.root, tree.root)
+    return state
+
+
+def sample_leaf_means(tree, X, residuals, sigma2, sigma_mu2, domain, seed):
+    """Conjugate draw of every leaf mean of ``tree`` given the residuals."""
+    state = _grown_state(tree, X, domain, BartConfig(min_leaf_obs=1))
+    state.draw_leaf_means(np.asarray(residuals, dtype=float), sigma2, sigma_mu2,
+                          as_generator(seed))
+    return state.to_tree()
+
+
+def mh_tree_step(tree, X, residuals, sigma2, cfg, domain, seed):
+    """One topology proposal on ``tree``; a rejection returns an equal tree."""
+    state = _grown_state(tree, X, domain, cfg)
+    state.mh_step(np.asarray(residuals, dtype=float), sigma2, as_generator(seed))
+    return state.to_tree()
 
 
 # -- output scaling -------------------------------------------------------------

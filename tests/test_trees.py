@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,7 @@ from treefront import (
     eval_tree,
     tree_leaf_regions,
 )
-from treefront.trees import ensemble_from_json, ensemble_to_json
+from treefront.trees import ensemble_from_dict, ensemble_to_dict
 
 from conftest import paired_stump_ensembles, random_ensemble, random_multi, random_tree, stump
 
@@ -191,8 +193,8 @@ def test_scaled_and_raw_units_consistent():
 def test_json_round_trip_preserves_evaluation():
     rng = np.random.default_rng(7)
     ens = random_ensemble(rng, UNIT2, m=5)
-    doc = ensemble_to_json(ens)
-    back = ensemble_from_json(doc)
+    doc = json.dumps(ensemble_to_dict(ens))
+    back = ensemble_from_dict(json.loads(doc))
     assert back == ens
     for x in rng.random((25, 2)):
         assert eval_ensemble(back, x) == eval_ensemble(ens, x)
