@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .random_sets import CPF, CloudPoint, ObjectiveBox, PFCloud
+from .random_sets import CPF, CloudPoint, PFCloud
 
 
 class Staircase:
@@ -72,18 +72,12 @@ def h_cut(stair: Staircase, axis: int, value: float) -> float:
     return float(stair.h(axis, [value])[0])
 
 
-def band_contains(
-    ci: CPF,
-    cj: CPF,
-    ck: CPF,
-    objective_box: Optional[ObjectiveBox] = None,
-) -> bool:
+def band_contains(ci: CPF, cj: CPF, ck: CPF) -> bool:
     """Exact test that ci's region sits between cj,ck's intersection and union.
 
     The three boundary heights are step functions with jumps only at front
-    point coordinates, so checking every breakpoint (plus optional box
-    edges) along both axes decides the set relation exactly; +inf heights
-    compare as largest.
+    point coordinates, so checking every breakpoint along both axes decides
+    the set relation exactly; +inf heights compare as largest.
     """
     for c in (ci, cj, ck):
         if c.objectives().shape[1] != 2:
@@ -96,9 +90,6 @@ def band_contains(
                 for s in (si, sj, sk)
             ]
         )
-        if objective_box is not None:
-            lo, hi = objective_box.bounds[axis - 1]
-            cuts = np.append(cuts, [lo, hi])
         cuts = np.unique(cuts)
         hi_ = si.h(axis, cuts)
         hj_ = sj.h(axis, cuts)

@@ -39,16 +39,38 @@ def write_draws(path, draws: Sequence[PosteriorDraw]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_draws(path) -> list[PosteriorDraw]:
+def _read_records(path, build) -> list:
+    """``build`` applied to each record of a JSON-lines file.
+
+    Bad JSON, a missing field or a record that ``build`` rejects fails as
+    ``<file>: line N: <reason>``, and a file with no records as
+    ``<file>: no records``.
+    """
     out = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            ensembles = tuple(ensemble_from_dict(e) for e in rec["outputs"])
-            out.append(PosteriorDraw(MultiEnsemble(ensembles), np.array(rec["sigma2"])))
+            try:
+                out.append(build(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {n}: {exc.msg} at column {exc.colno}") from None
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {n}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {n}: {exc}") from None
+    if not out:
+        raise ValueError(f"{path}: no records")
     return out
+
+
+def _draw_from_record(rec: dict) -> PosteriorDraw:
+    ensembles = tuple(ensemble_from_dict(e) for e in rec["outputs"])
+    return PosteriorDraw(MultiEnsemble(ensembles), np.array(rec["sigma2"]))
+
+
+def read_draws(path) -> list[PosteriorDraw]:
+    return _read_records(path, _draw_from_record)
 
 
 def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[CPF]]]) -> None:
@@ -80,21 +102,20 @@ def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[CPF
             fh.write(json.dumps(rec) + "\n")
 
 
+def _atlas_from_record(rec: dict) -> tuple[int, ImageAtlas]:
+    cells = rec["cells"]
+    if not cells:
+        raise ValueError("record has no cells")
+    alphas = np.array([c["alpha"] for c in cells], dtype=float)
+    los = np.array([c["box"]["lo"] for c in cells], dtype=float)
+    his = np.array([c["box"]["hi"] for c in cells], dtype=float)
+    domain = Domain(tuple(zip(los.min(axis=0), his.max(axis=0))))
+    return int(rec["draw_index"]), ImageAtlas(alphas, los, his, domain)
+
+
 def read_atlas_file(path) -> list[tuple[int, ImageAtlas]]:
     """Rebuild each draw's atlas; the domain is the union of its cell boxes."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            cells = rec["cells"]
-            alphas = np.array([c["alpha"] for c in cells], dtype=float)
-            los = np.array([c["box"]["lo"] for c in cells], dtype=float)
-            his = np.array([c["box"]["hi"] for c in cells], dtype=float)
-            domain = Domain(tuple(zip(los.min(axis=0), his.max(axis=0))))
-            out.append((int(rec["draw_index"]), ImageAtlas(alphas, los, his, domain)))
-    return out
+    return _read_records(path, _atlas_from_record)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ independently, each on its own random stream, and draws are emitted as
 immutable ensembles in raw output units.
 
 A tree being sampled keeps its leaves in one left-to-right list, and each
-node fixes its box, depth and table of valid cuts when it is created, so a
-birth or death only swaps list entries and no step re-walks the tree.
+node fixes its depth and table of valid cuts when it is created, so a birth
+or death only swaps list entries and no step re-walks the tree.  Nodes keep
+no box: a valid cut lies inside its node's box by the row counts alone.
 
 The sampler works in integer code space, as the R ``BART`` package does
 with its cut matrix: each input is coded once, as the number of its
@@ -182,15 +183,12 @@ def sample_sigma2(residuals, nu: float, lam: float, rng: RngLike) -> float:
 class _SNode:
     """A node of a tree being sampled; it is a leaf while ``left`` is None.
 
-    Its box ``lo``/``hi``, ``depth`` and cut table ``cuts`` never change, as
-    its box and training rows do not.  ``cuts`` maps each variable that has a
-    valid cut, in ascending order, to those cuts.  ``idx`` is set while it is
-    a leaf.
+    Its ``depth`` and cut table ``cuts`` never change, as its training rows
+    do not.  ``cuts`` maps each variable that has a valid cut, in ascending
+    order, to those cuts.  ``idx`` is set while it is a leaf.
     """
 
     idx: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     depth: int
     cuts: dict
     parent: Optional[_SNode] = None
@@ -230,14 +228,13 @@ class _TreeState:
         )
         self.sums_resid: Optional[np.ndarray] = None
         self.sums: dict = {}
-        self.root = self.new_node(np.arange(len(X)), domain.lo, domain.hi, 0)
+        self.root = self.new_node(np.arange(len(X)), 0)
         self.leaves = [self.root]
 
     # -- split bookkeeping ---------------------------------------------------
 
-    def new_node(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray, depth: int,
-                 parent: Optional[_SNode] = None) -> _SNode:
-        """A node over training rows ``idx`` and box [lo, hi), with its cut table.
+    def new_node(self, idx: np.ndarray, depth: int, parent: Optional[_SNode] = None) -> _SNode:
+        """A node over training rows ``idx``, with its cut table.
 
         A grid cut is valid when it leaves at least ``min_leaf_obs`` of the
         ``k`` rows on each side.  The table is read off one count of the
@@ -247,11 +244,12 @@ class _TreeState:
         ``m <= n_left[v, j] <= k - m`` form one run, and bins past the end of
         a shorter grid hold ``n_left = k`` and are never in it.
 
-        A valid cut also lies strictly inside the box, because the rows lie in
-        the box and ``min_leaf_obs >= 1``: a cut at or below ``lo[v]`` leaves
-        no row on the left, and a cut at or above ``hi[v]`` leaves all ``k``
-        there (``hi[v]`` is then an earlier cut, as grid values lie below the
-        largest input and so below the domain's face).
+        So the node needs no box: a valid cut lies strictly inside it, because
+        the rows lie in the box and ``min_leaf_obs >= 1``.  A cut at or below
+        the box's ``lo[v]`` leaves no row on the left, and a cut at or above
+        its ``hi[v]`` leaves all ``k`` there (``hi[v]`` is then an earlier
+        cut, as grid values lie below the largest input and so below the
+        domain's face).
         """
         k, m = len(idx), self.cfg.min_leaf_obs
         cuts = {}
@@ -264,7 +262,7 @@ class _TreeState:
             for v in range(p):
                 if first[v] < stop[v]:
                     cuts[v] = self.grids[v][first[v]:stop[v]]
-        return _SNode(idx, lo, hi, depth, cuts, parent)
+        return _SNode(idx, depth, cuts, parent)
 
     def p_split(self, depth: int) -> float:
         return self.cfg.tree_prior_alpha * (1.0 + depth) ** (-self.cfg.tree_prior_beta)
@@ -282,13 +280,9 @@ class _TreeState:
     def split(self, node: _SNode, var: int, cut: float) -> tuple[_SNode, _SNode]:
         """The two children that splitting leaf ``node`` at ``x[var] < cut`` makes."""
         mask = self.X[node.idx, var] < cut
-        hi_l = node.hi.copy()
-        hi_l[var] = cut
-        lo_r = node.lo.copy()
-        lo_r[var] = cut
         return (
-            self.new_node(node.idx[mask], node.lo, hi_l, node.depth + 1, node),
-            self.new_node(node.idx[~mask], lo_r, node.hi, node.depth + 1, node),
+            self.new_node(node.idx[mask], node.depth + 1, node),
+            self.new_node(node.idx[~mask], node.depth + 1, node),
         )
 
     def draw_split(self, node: _SNode, rng: np.random.Generator) -> tuple[int, float]:

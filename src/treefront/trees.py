@@ -64,9 +64,6 @@ class Domain:
             raise DomainError(f"point {x} outside domain")
         return x
 
-    def full_box(self) -> "Hyperrectangle":
-        return Hyperrectangle(tuple(b[0] for b in self.bounds), tuple(b[1] for b in self.bounds))
-
     @staticmethod
     def unit(p: int) -> "Domain":
         return Domain(tuple((0.0, 1.0) for _ in range(p)))
@@ -138,46 +135,42 @@ class Tree:
 
     root: Node
 
-    def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def rec(node: Node):
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                rec(node.left)
-                rec(node.right)
-
-        rec(self.root)
-        return out
-
     def validate(self, domain: Domain) -> None:
         """Check split vars and cuts against the boxes they refine.
 
         A cut on a box edge would create an empty leaf region, so it is
         rejected here rather than silently producing a degenerate partition.
         """
-        lo = list(domain.lo)
-        hi = list(domain.hi)
+        for _ in _leaf_boxes(self.root, list(domain.lo), list(domain.hi), domain.p):
+            pass
 
-        def rec(node: Node, lo, hi):
-            if isinstance(node, Leaf):
-                return
-            if not 0 <= node.var < domain.p:
-                raise ValueError(f"split variable {node.var} out of range")
-            if not lo[node.var] < node.cut < hi[node.var]:
-                raise ValueError(
-                    f"cut {node.cut} not strictly inside [{lo[node.var]}, {hi[node.var]}] "
-                    f"for variable {node.var}"
-                )
-            left_hi = list(hi)
-            left_hi[node.var] = node.cut
-            right_lo = list(lo)
-            right_lo[node.var] = node.cut
-            rec(node.left, lo, left_hi)
-            rec(node.right, right_lo, hi)
 
-        rec(self.root, lo, hi)
+def _leaf_boxes(root: Node, lo: list, hi: list, p: int):
+    """Yield ``(lo, hi, mu)`` for each leaf of the tree over box [lo, hi), left to right.
+
+    This is the one walk of a tree's boxes.  Each split's variable must be
+    one of the ``p`` inputs and its cut must lie strictly inside the box it
+    refines, so the leaf boxes partition the root's box; splits are checked
+    in preorder, left subtree first.
+    """
+    stack = [(root, lo, hi)]
+    while stack:
+        node, lo, hi = stack.pop()
+        if isinstance(node, Leaf):
+            yield lo, hi, node.mu
+            continue
+        var, cut = node.var, node.cut
+        if not 0 <= var < p:
+            raise ValueError(f"split variable {var} out of range")
+        if not lo[var] < cut < hi[var]:
+            raise ValueError(
+                f"cut {cut} not strictly inside [{lo[var]}, {hi[var]}] for variable {var}")
+        left_hi = list(hi)
+        left_hi[var] = cut
+        right_lo = list(lo)
+        right_lo[var] = cut
+        stack.append((node.right, right_lo, hi))
+        stack.append((node.left, lo, left_hi))
 
 
 @dataclass(frozen=True)
@@ -252,41 +245,25 @@ def eval_tree(tree: Tree, x, domain: Domain) -> float:
     return node.mu
 
 
-def eval_ensemble(ens: Ensemble, x, units: str = "raw") -> float:
-    """Sum of per-tree values at x, in raw or scaled units."""
-    if units not in ("raw", "scaled"):
-        raise ValueError(f"units must be 'raw' or 'scaled', got {units!r}")
+def eval_ensemble(ens: Ensemble, x) -> float:
+    """Sum of per-tree values at x, in raw units."""
     total = 0.0
     for tree in ens.trees:
         total += eval_tree(tree, x, ens.domain)
-    if units == "scaled":
-        return total
     return float(ens.transform.to_raw(total))
 
 
 def eval_multi(me: MultiEnsemble, x) -> np.ndarray:
     """Componentwise ensemble evaluation in raw units."""
-    return np.array([eval_ensemble(e, x, units="raw") for e in me.outputs])
+    return np.array([eval_ensemble(e, x) for e in me.outputs])
 
 
 def tree_leaf_regions(tree: Tree, domain: Domain) -> list[tuple[Hyperrectangle, float]]:
     """Leaf boxes of the tree and their values; the boxes partition the domain."""
-    tree.validate(domain)
-    out: list[tuple[Hyperrectangle, float]] = []
-
-    def rec(node: Node, lo: list, hi: list):
-        if isinstance(node, Leaf):
-            out.append((Hyperrectangle(tuple(lo), tuple(hi)), node.mu))
-            return
-        left_hi = list(hi)
-        left_hi[node.var] = node.cut
-        right_lo = list(lo)
-        right_lo[node.var] = node.cut
-        rec(node.left, lo, left_hi)
-        rec(node.right, right_lo, hi)
-
-    rec(tree.root, list(domain.lo), list(domain.hi))
-    return out
+    return [
+        (Hyperrectangle(tuple(lo), tuple(hi)), mu)
+        for lo, hi, mu in _leaf_boxes(tree.root, list(domain.lo), list(domain.hi), domain.p)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -352,11 +352,12 @@ def test_c08_end_to_end_mop2():
 # -- C9: complexity contracts -----------------------------------------------------------------
 
 def _median_time(fn, trials=5):
+    # CPU time of this process, so a preempted run does not inflate a ratio
     times = []
     for _ in range(trials):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         fn()
-        times.append(time.perf_counter() - t0)
+        times.append(time.process_time() - t0)
     return float(np.median(times))
 
 

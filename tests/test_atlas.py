@@ -16,6 +16,7 @@ from treefront import (
     Tree,
     eval_ensemble,
     eval_multi,
+    eval_tree,
     fit_multi_bart,
     get_benchmark,
     maximin_lhs,
@@ -158,7 +159,7 @@ def test_cell_count_bounded_by_leaf_product():
     bound = 1
     for ens in me.outputs:
         for t in ens.trees:
-            bound *= len(t.leaves())
+            bound *= len(tree_leaf_regions(t, me.domain))
     assert 1 <= len(atlas) <= bound
 
 
@@ -168,8 +169,8 @@ def test_alphas_untransformed_once_per_cell():
     ens = random_ensemble(rng, dom, m=4, transform=OutputTransform(3.0, 11.0))
     for alpha, box in ensemble_cells(ens):
         mid = box.midpoint()
-        assert alpha == eval_ensemble(ens, mid, units="raw")
-        assert alpha == float(ens.transform.to_raw(eval_ensemble(ens, mid, units="scaled")))
+        assert alpha == eval_ensemble(ens, mid)
+        assert alpha == float(ens.transform.to_raw(sum(eval_tree(t, mid, dom) for t in ens.trees)))
 
 
 # -- the fold against the leaf-box oracle, byte for byte ---------------------------------------
@@ -182,23 +183,30 @@ def _assert_fold_matches_oracle(ensembles, domain):
         assert g.tobytes() == w.tobytes(), name
 
 
-@pytest.mark.parametrize("bench_name, n", [("dtlz2m", 128), ("mop2", 128), ("zdt3", 96)])
+def _lhs_in_domain(bench, n, seed):
+    """A maximin LHS design mapped into the benchmark's domain (exact for unit ones)."""
+    lo, hi = bench.domain.lo, bench.domain.hi
+    return lo + (hi - lo) * maximin_lhs(n, bench.p, seed, restarts=1)
+
+
+@pytest.mark.parametrize("bench_name, n",
+                         [("dtlz2m", 128), ("mop2", 128), ("zdt3", 96), ("turning", 128)])
 def test_fold_matches_oracle_on_sampler_draws(bench_name, n):
     # dtlz2m has p=4 and gives tens of thousands of cells per draw
     bench = get_benchmark(bench_name)
-    X = maximin_lhs(n, bench.p, 1, restarts=1)
+    X = _lhs_in_domain(bench, n, 1)
     cfg = BartConfig(m=30, n_burn=60, n_draws=8)
     for draw in fit_multi_bart(Dataset(X, bench.evaluate(X), bench.domain), cfg, seed=1):
         _assert_fold_matches_oracle(draw.me.outputs, draw.me.domain)
 
 
-@pytest.mark.parametrize("bench_name", ["mop2", "zdt3", "dtlz2m"])
+@pytest.mark.parametrize("bench_name", ["mop2", "zdt3", "dtlz2m", "turning"])
 def test_atlas_invariants_on_sampler_draws(bench_name):
     # the cells partition the domain, and each training input's cell holds the
     # draw's value there bit for bit: the fold and eval_ensemble both add the
     # leaf values in tree order starting from 0.0, then map to raw units once
     bench = get_benchmark(bench_name)
-    X = maximin_lhs(128, bench.p, 2, restarts=1)
+    X = _lhs_in_domain(bench, 128, 2)
     cfg = BartConfig(m=30, n_burn=40, n_draws=4)
     for draw in fit_multi_bart(Dataset(X, bench.evaluate(X), bench.domain), cfg, seed=2):
         atlas = multi_cells(draw.me)

@@ -149,16 +149,6 @@ def test_band_contains_rejects_higher_dim():
         band_contains(c3, c3, c3)
 
 
-def test_band_contains_extra_box_cuts_are_redundant():
-    from treefront import ObjectiveBox
-
-    rng = np.random.default_rng(20)
-    for _ in range(50):
-        ci, cj, ck = random_cpfs(rng, 3, n_raw=7)
-        box = ObjectiveBox.from_points(np.vstack([c.objectives() for c in (ci, cj, ck)]))
-        assert band_contains(ci, cj, ck) == band_contains(ci, cj, ck, objective_box=box)
-
-
 def test_band_contains_matches_grid_oracle():
     rng = np.random.default_rng(2)
     agree = 0

@@ -107,6 +107,47 @@ def test_uq_mbd_outputs(atlas_file, tmp_path):
     assert header == ["lo1", "hi1", "lo2", "hi2", "draw_index"]
 
 
+def _edit_record(i, edit):
+    """File text with record ``i`` (0-based) replaced by ``edit`` of it."""
+    def text(lines):
+        rec = json.loads(lines[i])
+        edit(rec)
+        return "".join(lines[:i] + [json.dumps(rec) + "\n"] + lines[i + 1:])
+    return text
+
+
+def _outside_cut(rec):
+    leaf = {"mu": 0.0}
+    rec["outputs"][0]["trees"][0] = {"var": 0, "cut": 5.0, "left": leaf, "right": leaf}
+
+
+@pytest.mark.parametrize("source, text, problem", [
+    ("draws", lambda lines: lines[0] + lines[1].rstrip()[:-1] + "\n",
+     "line 2: Expecting ',' delimiter at column "),
+    ("draws", _edit_record(0, _outside_cut), "line 1: cut 5.0 not strictly inside ["),
+    ("draws", _edit_record(2, lambda rec: rec.pop("sigma2")), "line 3: missing field 'sigma2'"),
+    ("draws", lambda lines: "", "no records"),
+    ("atlas", _edit_record(1, lambda rec: rec.update(cells=[])), "line 2: record has no cells"),
+    ("atlas", lambda lines: "\n", "no records"),
+], ids=["truncated_json", "cut_outside_box", "missing_field", "empty_draws", "no_cells",
+        "blank_atlas"])
+def test_record_errors_name_file_and_line(draws_file, atlas_file, tmp_path, capsys,
+                                          source, text, problem):
+    good = draws_file if source == "draws" else atlas_file
+    bad = tmp_path / f"bad_{source}.jsonl"
+    bad.write_text(text(good.read_text().splitlines(keepends=True)))
+    out = tmp_path / "out"
+    if source == "draws":
+        argv = ["extract", "--draws", str(bad), "--out", str(out)]
+    else:
+        argv = ["uq", "--atlas", str(bad), "--method", "mbd", "--alpha", "0.5",
+                "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: {problem}")
+    assert not out.exists()
+
+
 def test_metrics_command(tmp_path):
     cloud = tmp_path / "cloud.csv"
     truth = tmp_path / "truth.csv"

@@ -248,7 +248,7 @@ def test_proposals_only_use_interior_cuts_with_enough_points():
         n_left = int(np.searchsorted(xs, c, side="left"))
         assert 15 <= n_left <= 40 - 15
         assert 0.0 < c < 1.0
-    small = state.new_node(np.arange(10), UNIT2.lo, UNIT2.hi, 0).cuts
+    small = state.new_node(np.arange(10), 0).cuts
     assert 0 not in small  # a 10-point leaf cannot split under min 15
 
 
@@ -266,13 +266,13 @@ def _leaf_depths(node, depth=0):
     return _leaf_depths(node.left, depth + 1) + _leaf_depths(node.right, depth + 1)
 
 
-def _assert_float_cut_table(node, X, grids, m):
+def _assert_float_cut_table(node, lo, hi, X, grids, m):
     # the cut table by float comparisons: every grid value strictly inside the
-    # node's box that leaves at least m of its rows on each side
+    # node's box [lo, hi) that leaves at least m of its rows on each side
     table = {}
     for v, grid in enumerate(grids):
         xs = X[node.idx, v]
-        ok = [c for c in grid if node.lo[v] < c < node.hi[v]
+        ok = [c for c in grid if lo[v] < c < hi[v]
               and m <= np.sum(xs < c) <= len(xs) - m]
         if ok:
             table[v] = ok
@@ -298,7 +298,8 @@ def test_cut_table_matches_float_comparisons_on_hard_inputs(case, m):
     # the integer-coded table must equal the float one where codes are easiest
     # to get wrong: ties, inputs equal to a cutpoint, an empty grid, the
     # smallest leaf floor and three variables; nodes come from random growth
-    # (boxes that hold their rows) and random row subsets of the root
+    # (boxes that hold their rows, tracked beside each split) and random row
+    # subsets of the root
     rng = np.random.default_rng(31)
     X = _hard_inputs(rng, 60)[case]
     domain = Domain.unit(X.shape[1])
@@ -310,17 +311,20 @@ def test_cut_table_matches_float_comparisons_on_hard_inputs(case, m):
     state = _TreeState(X, domain, grids, BartConfig(min_leaf_obs=m))
     checked = 0
     for _ in range(3):
-        stack = [state.root]
+        stack = [(state.root, domain.lo, domain.hi)]
         while stack:
-            node = stack.pop()
-            _assert_float_cut_table(node, X, grids, m)
+            node, lo, hi = stack.pop()
+            _assert_float_cut_table(node, lo, hi, X, grids, m)
             checked += 1
             if node.cuts:
                 var, cut = state.draw_split(node, rng)
-                stack.extend(state.split(node, var, cut))
+                left, right = state.split(node, var, cut)
+                hi_l, lo_r = hi.copy(), lo.copy()
+                hi_l[var] = lo_r[var] = cut
+                stack.extend([(left, lo, hi_l), (right, lo_r, hi)])
     for k in range(2 * m, len(X) + 1, 7):
-        node = state.new_node(np.sort(rng.choice(len(X), k, replace=False)), domain.lo, domain.hi, 0)
-        _assert_float_cut_table(node, X, grids, m)
+        node = state.new_node(np.sort(rng.choice(len(X), k, replace=False)), 0)
+        _assert_float_cut_table(node, domain.lo, domain.hi, X, grids, m)
     assert checked > 20
 
 
@@ -352,9 +356,9 @@ def test_leaf_means_reuse_only_sums_of_the_same_residuals():
 
 
 def test_leaf_table_matches_tree_after_every_step():
-    # the leaf list and each node's box, depth, rows and cut table are kept
+    # the leaf list and each node's depth, rows and cut table are kept
     # incrementally; after every move they must equal a recomputation from
-    # the tree itself
+    # the tree itself, whose leaf regions give each leaf's box
     rng = np.random.default_rng(25)
     n, m = 60, 5
     state = _fresh_state(n=n, seed=26, cfg=BartConfig(min_leaf_obs=m))
@@ -369,16 +373,16 @@ def test_leaf_table_matches_tree_after_every_step():
         state.draw_leaf_means(resid, 0.05, 0.1, rng)
 
         tree = state.to_tree()
-        assert [lf.mu for lf in state.leaves] == [lf.mu for lf in tree.leaves()]
         regions = tree_leaf_regions(tree, UNIT2)
         assert len(regions) == len(state.leaves)
+        assert [lf.mu for lf in state.leaves] == [mu for _, mu in regions]
         for node, (box, _), depth in zip(state.leaves, regions, _leaf_depths(tree.root)):
-            assert tuple(node.lo) == box.lo and tuple(node.hi) == box.hi
+            lo, hi = np.array(box.lo), np.array(box.hi)
             assert node.depth == depth
-            upper_ok = (X < node.hi) | ((node.hi >= UNIT2.hi) & (X <= node.hi))
-            inside = np.flatnonzero(np.all((X >= node.lo) & upper_ok, axis=1))
+            upper_ok = (X < hi) | ((hi >= UNIT2.hi) & (X <= hi))
+            inside = np.flatnonzero(np.all((X >= lo) & upper_ok, axis=1))
             assert sorted(node.idx.tolist()) == inside.tolist()
-            _assert_float_cut_table(node, X, grids, m)
+            _assert_float_cut_table(node, lo, hi, X, grids, m)
         recount = _recount_prunable(state.root)
         assert [id(nd) for nd in state.prunable()] == [id(nd) for nd in recount]
     assert births > 50 and deaths > 50
@@ -448,11 +452,12 @@ def test_pure_noise_leaf_counts_near_prior():
     cfg = BartConfig(m=30, kappa=1.0, n_burn=200, n_draws=300)
     draws = fit_bart(X, y, UNIT2, cfg, 11)
     chain_mean = np.mean(
-        [len(t.leaves()) for ens, _ in draws[::10] for t in ens.trees]
+        [len(tree_leaf_regions(t, UNIT2)) for ens, _ in draws[::10] for t in ens.trees]
     )
     prior_rng = np.random.default_rng(12)
     prior_mean = np.mean(
-        [len(sample_prior_tree(X, UNIT2, cfg, prior_rng).leaves()) for _ in range(3000)]
+        [len(tree_leaf_regions(sample_prior_tree(X, UNIT2, cfg, prior_rng), UNIT2))
+         for _ in range(3000)]
     )
     assert abs(chain_mean - prior_mean) / prior_mean < 0.15
 
@@ -532,8 +537,8 @@ def test_fit_bart_chain_stays_finite_and_positive():
     for ens, s2 in draws:
         assert s2 > 0
         for t in ens.trees:
-            for leaf in t.leaves():
-                assert math.isfinite(leaf.mu)
+            for _, mu in tree_leaf_regions(t, UNIT2):
+                assert math.isfinite(mu)
 
 
 def test_fitted_trees_respect_leaf_size_floor():

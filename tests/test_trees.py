@@ -83,8 +83,7 @@ def test_eval_ensemble_matches_per_tree_sum():
     ens = random_ensemble(rng, UNIT2, m=5)
     for x in rng.random((100, 2)):
         scaled = sum(eval_tree(t, x, UNIT2) for t in ens.trees)
-        assert eval_ensemble(ens, x, units="scaled") == scaled
-        assert eval_ensemble(ens, x, units="raw") == float(ens.transform.to_raw(scaled))
+        assert eval_ensemble(ens, x) == float(ens.transform.to_raw(scaled))
 
 
 def test_eval_multi_componentwise():
@@ -163,6 +162,21 @@ def test_degenerate_cut_rejected():
         tree_leaf_regions(Tree(Split(0, 0.0, Leaf(0.0), Leaf(1.0))), dom)
 
 
+def test_bad_splits_reported_left_subtree_first_by_both_walkers():
+    # validate and tree_leaf_regions share one walk: the same message for the
+    # same first bad split, in preorder with the left subtree first
+    dom = Domain.unit(2)
+    bad_var = Split(3, 0.5, Leaf(0.0), Leaf(1.0))
+    left_bad = Tree(Split(0, 0.5, Split(0, 0.7, Leaf(0.0), Leaf(1.0)), bad_var))
+    right_bad = Tree(Split(0, 0.5, Leaf(0.0), bad_var))
+    for tree, message in ((left_bad, r"cut 0.7 not strictly inside \[0.0, 0.5\] for variable 0"),
+                          (right_bad, r"split variable 3 out of range")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tree.validate(dom)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tree_leaf_regions(tree, dom)
+
+
 def test_mixed_domains_rejected():
     e1 = random_ensemble(np.random.default_rng(0), Domain.unit(2))
     e2 = random_ensemble(np.random.default_rng(0), Domain(((0.0, 2.0), (0.0, 1.0))))
@@ -179,15 +193,6 @@ def test_transform_round_trip(center, scale, y):
     tr = OutputTransform(center, scale)
     back = float(tr.to_raw(tr.to_scaled(y)))
     assert back == pytest.approx(y, abs=1e-12 * max(1.0, abs(y)))
-
-
-def test_scaled_and_raw_units_consistent():
-    rng = np.random.default_rng(6)
-    ens = random_ensemble(rng, UNIT2, m=4)
-    x = [0.3, 0.6]
-    raw = eval_ensemble(ens, x, units="raw")
-    scaled = eval_ensemble(ens, x, units="scaled")
-    assert raw == float(ens.transform.to_raw(scaled))
 
 
 def test_json_round_trip_preserves_evaluation():
