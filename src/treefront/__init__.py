@@ -37,6 +37,7 @@ from .random_sets import (
     CPF,
     CellRefError,
     CloudPoint,
+    FrontCells,
     ObjectiveBox,
     PFCloud,
     PSCloud,

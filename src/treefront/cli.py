@@ -58,13 +58,14 @@ def cmd_fit(args) -> int:
 
 def cmd_extract(args) -> int:
     draws = fileio.read_draws(args.draws_file)
+    # both are generators, so each atlas is written and dropped before the
+    # next one is built
     if args.front:
-        atlases, cpfs = extract_cpfs(draws)
-        entries = [(i, atlases[i], cpf) for i, cpf in enumerate(cpfs)]
+        entries = extract_cpfs(draws)
     else:
-        entries = [(i, multi_cells(draw.me), None) for i, draw in enumerate(draws)]
+        entries = ((i, multi_cells(draw.me), None) for i, draw in enumerate(draws))
     fileio.write_atlas_file(args.out, entries)
-    print(f"wrote {len(entries)} atlases to {args.out}")
+    print(f"wrote {len(draws)} atlases to {args.out}")
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -73,10 +73,12 @@ def read_draws(path) -> list[PosteriorDraw]:
     return _read_records(path, _draw_from_record)
 
 
-def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[CPF]]]) -> None:
+def write_atlas_file(path, entries: Iterable[tuple[int, ImageAtlas, Optional[CPF]]]) -> None:
     """One line per draw: its cells, optionally its front points and set boxes.
 
     The set boxes are the boxes of the front points' cells, in front order.
+    Each line is written as soon as its entry arrives, so a generator of
+    entries is never held whole.
     """
     with open(path, "w", newline="\n") as fh:
         for draw_index, atlas, cpf in entries:
@@ -100,6 +102,7 @@ def write_atlas_file(path, entries: Sequence[tuple[int, ImageAtlas, Optional[CPF
                     for fp in cpf.points for r in fp.cell_refs
                 ]
             fh.write(json.dumps(rec) + "\n")
+            del atlas, rec  # before the next entry is built
 
 
 def _atlas_from_record(rec: dict) -> tuple[int, ImageAtlas]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .band_depth import DepthResult, modified_band_depth, pf_cloud_mbd
 from .benchmarks import Benchmark, get_benchmark, unit_scale
 from .metrics import coverage, ps_cloud_to_points
 from .pareto import pf_ps
-from .random_sets import CPF, ObjectiveBox, PFCloud, PSCloud, pf_cloud_rs, ps_cloud, require_rs_band
+from .random_sets import (CPF, FrontCells, ObjectiveBox, PFCloud, PSCloud, pf_cloud_rs, ps_cloud,
+                          require_rs_band)
 from .sampler import BartConfig, Dataset, as_generator, fit_multi_bart
 
 
@@ -172,22 +173,35 @@ class ScenarioReport:
 
 
 def extract_cpfs(draws, output_map: Optional[Callable] = None
-                 ) -> tuple[dict[int, ImageAtlas], list[CPF]]:
-    """Atlas and exact front of every posterior draw.
+                 ) -> Iterator[tuple[int, ImageAtlas, CPF]]:
+    """Index, atlas and exact front of each posterior draw, one draw at a time.
+
+    A generator: a draw's atlas is built only when the caller asks for the
+    next draw, and the generator drops its own reference before building the
+    next one, so a caller that keeps no atlas holds one at a time.
 
     ``output_map``, if given, maps each atlas's values before the front is
     taken; it must be increasing in every output, so that it carries fronts
-    to fronts, and the atlases returned hold the mapped values.
+    to fronts, and the atlases yielded hold the mapped values.
     """
-    atlases: dict[int, ImageAtlas] = {}
-    cpfs: list[CPF] = []
     for i, draw in enumerate(draws):
-        at = multi_cells(draw.me)
+        atlas = multi_cells(draw.me)
         if output_map is not None:
-            at = at.with_alphas(output_map(at.alphas))
-        atlases[i] = at
-        cpfs.append(CPF.from_result(i, pf_ps(at)))
-    return atlases, cpfs
+            atlas = atlas.with_alphas(output_map(atlas.alphas))
+        yield i, atlas, CPF.from_result(i, pf_ps(atlas))
+        del atlas
+
+
+def _front_cells(draws, output_map: Optional[Callable] = None
+                ) -> tuple[list[CPF], dict[int, FrontCells]]:
+    """Every draw's front and front cells, with one full atlas alive at a time."""
+    cpfs: list[CPF] = []
+    cells: dict[int, FrontCells] = {}
+    for i, atlas, cpf in extract_cpfs(draws, output_map):
+        cpfs.append(cpf)
+        cells[i] = FrontCells(atlas, cpf)
+        del atlas  # before the next draw's atlas is built
+    return cpfs, cells
 
 
 def _replicate_run(bench: Benchmark, sc: Scenario, rep: int):
@@ -196,7 +210,7 @@ def _replicate_run(bench: Benchmark, sc: Scenario, rep: int):
     design = maximin_lhs(sc.n, bench.p, s_design, sc.lhs_restarts)
     data = generate_data(bench, design, sc.noise_mult, s_noise)
     draws = fit_multi_bart(data, sc.bart, s_fit)
-    atlases, cpfs = extract_cpfs(draws)
+    cpfs, cells = _front_cells(draws)
 
     rs_cloud = pf_cloud_rs(cpfs, sc.alpha_rs)
     if len(rs_cloud) == 0:
@@ -205,8 +219,8 @@ def _replicate_run(bench: Benchmark, sc: Scenario, rep: int):
         )
     depth_res = modified_band_depth(cpfs, sc.mbd_cuts)
     mbd_cloud = pf_cloud_mbd(cpfs, depth_res, sc.alpha_mbd)
-    rs_ps = ps_cloud(rs_cloud, atlases)
-    mbd_ps = ps_cloud(mbd_cloud, atlases)
+    rs_ps = ps_cloud(rs_cloud, cells)
+    mbd_ps = ps_cloud(mbd_cloud, cells)
     obox = ObjectiveBox.from_points(data.outputs)
     return ReplicateArtifacts(rep, obox, rs_cloud, rs_ps, mbd_cloud, mbd_ps, depth_res)
 
@@ -279,10 +293,10 @@ def run_turning(
     cfg = BartConfig(m=m, n_burn=burn, n_draws=draws)
     posterior = fit_multi_bart(data, cfg, s_fit)
 
-    atlases, cpfs = extract_cpfs(posterior, np.exp)
+    cpfs, cells = _front_cells(posterior, np.exp)
     depth_res = modified_band_depth(cpfs, mbd_cuts)
     cloud = pf_cloud_mbd(cpfs, depth_res, alpha_mbd)
-    psc = ps_cloud(cloud, atlases)
+    psc = ps_cloud(cloud, cells)
 
     # score in unit-scaled objective space so the two costs weigh equally
     ranges = bench.output_ranges()

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import Hyperrectangle
-
 
 # Below this size the recursion (d >= 3 only) switches to the quadratic scan;
 # any small constant is correct, this one is just fast.
@@ -95,16 +93,15 @@ class FrontPoint:
 @dataclass(frozen=True)
 class ParetoResult:
     front: tuple[FrontPoint, ...]
-    set_boxes: tuple[Hyperrectangle, ...]
 
 
 def pf_ps(atlas) -> ParetoResult:
-    """Front and preimage boxes of an image atlas.
+    """Front of an image atlas, with the cells behind each front point.
 
-    Every cell whose value equals a front objective contributes its box, so
-    the returned boxes are the full preimage of the front.
+    Every cell whose value equals a front objective is among that point's
+    ``cell_refs``, so the boxes of the refs are the full preimage of the
+    front.
     """
     vals, refs = kung_front(atlas.alphas, return_refs=True)
     points = (FrontPoint(tuple(v), tuple(int(r) for r in rs)) for v, rs in zip(vals, refs))
-    boxes = (atlas.box(int(r)) for rs in refs for r in rs)
-    return ParetoResult(tuple(points), tuple(boxes))
+    return ParetoResult(tuple(points))

@@ -10,7 +10,7 @@ attainment sits in a central band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -157,8 +157,40 @@ def pf_cloud_rs(cpfs: Sequence[CPF], alpha_rs: float) -> PFCloud:
     return PFCloud(tuple(kept))
 
 
-def ps_cloud(cloud: PFCloud, atlases: dict[int, ImageAtlas]) -> PSCloud:
-    """Union of the preimage boxes behind every cloud point."""
+class FrontCells:
+    """The front cells of one draw's atlas, kept once the atlas is dropped.
+
+    Holds the atlas's cell count and copies of the ``lo``/``hi`` rows of the
+    cells its front's ``cell_refs`` name.  Refs keep their full-atlas
+    indices, so ``ps_cloud`` reads boxes here through the same ``len()`` and
+    ``box(ref)`` as on an ``ImageAtlas``.
+    """
+
+    def __init__(self, atlas: ImageAtlas, cpf: CPF):
+        refs = sorted({r for fp in cpf.points for r in fp.cell_refs})
+        self._n = len(atlas)
+        self._row = {r: k for k, r in enumerate(refs)}
+        # fancy indexing copies, so these rows keep nothing else of the atlas
+        self._los = atlas.los[refs]
+        self._his = atlas.his[refs]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def box(self, ref: int) -> Hyperrectangle:
+        # a new box on every call, as ImageAtlas.box builds one
+        try:
+            k = self._row[ref]
+        except KeyError:
+            raise CellRefError(f"cell {ref} is not a front cell") from None
+        return Hyperrectangle(tuple(self._los[k]), tuple(self._his[k]))
+
+
+def ps_cloud(cloud: PFCloud, atlases: Mapping[int, ImageAtlas | FrontCells]) -> PSCloud:
+    """Union of the preimage boxes behind every cloud point.
+
+    ``atlases`` maps a draw index to its full atlas or its front cells.
+    """
     boxes = []
     for pt in cloud.points:
         try:

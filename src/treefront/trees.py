@@ -141,7 +141,8 @@ class Tree:
         A cut on a box edge would create an empty leaf region, so it is
         rejected here rather than silently producing a degenerate partition.
         """
-        for _ in _leaf_boxes(self.root, list(domain.lo), list(domain.hi), domain.p):
+        lo, hi = map(list, zip(*domain.bounds))
+        for _ in _leaf_boxes(self.root, lo, hi, domain.p):
             pass
 
 

@@ -44,6 +44,11 @@ PAIRED_STUMP_IMAGE = {
 }
 
 
+def front_boxes(atlas, result):
+    """Boxes of a pf_ps result's front cells, in front order."""
+    return tuple(atlas.box(r) for fp in result.front for r in fp.cell_refs)
+
+
 def random_tree(rng, domain, max_depth=3, split_prob=0.7):
     """Random valid tree: cuts drawn strictly inside the running box."""
 

@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from treefront import (
     get_benchmark,
     kung_front,
     maximin_lhs,
+    multi_cells,
     run_scenario,
     run_turning,
     unit_scale,
@@ -200,7 +202,7 @@ def test_exp_transform_commutes_with_front_extraction():
 
 def test_exp_transform_commutes_on_atlases():
     from treefront import multi_cells, pf_ps
-    from conftest import random_multi
+    from conftest import front_boxes, random_multi
 
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -210,7 +212,7 @@ def test_exp_transform_commutes_on_atlases():
         exp_front = {p.objective for p in pf_ps(exp_atlas).front}
         assert exp_front == {tuple(np.exp(np.array(o))) for o in log_front}
         # the preimage boxes agree as well
-        assert pf_ps(atlas).set_boxes == pf_ps(exp_atlas).set_boxes
+        assert front_boxes(atlas, pf_ps(atlas)) == front_boxes(exp_atlas, pf_ps(exp_atlas))
 
 
 def test_turning_study_desk_scale():
@@ -227,6 +229,34 @@ def test_turning_study_desk_scale():
     for entry in res.ps.boxes:
         assert np.all(np.array(entry.box.lo) >= dom.lo - 1e-12)
         assert np.all(np.array(entry.box.hi) <= dom.hi + 1e-12)
+
+
+def test_scenario_memory_flat_in_draws(monkeypatch):
+    # a replicate keeps only each draw's front cells, so four times the
+    # draws must not raise the traced peak by even one atlas; keeping every
+    # atlas raised it by about five of them
+    from treefront import harness
+
+    atlas_bytes = []
+
+    def sized(me):
+        atlas = multi_cells(me)
+        atlas_bytes.append(atlas.alphas.nbytes + atlas.los.nbytes + atlas.his.nbytes)
+        return atlas
+
+    monkeypatch.setattr(harness, "multi_cells", sized)
+    peaks = []
+    for draws in (2, 8):
+        sc = Scenario(benchmark="dtlz2m", n=128, bart=BartConfig(n_burn=20, n_draws=draws),
+                      seed=1, lhs_restarts=1, truth_samples=200)
+        tracemalloc.start()
+        try:
+            run_scenario(sc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(atlas_bytes) == 10
+    assert peaks[1] - peaks[0] < max(atlas_bytes)
 
 
 @pytest.mark.parametrize(
@@ -279,11 +309,11 @@ def test_extract_cpfs_consistency():
     design = maximin_lhs(30, 2, 7, restarts=1, n_swaps=100)
     data = generate_data(bench, design, 0.0, 8)
     draws = fit_multi_bart(data, BartConfig(n_burn=40, n_draws=6), 9)
-    atlases, cpfs = extract_cpfs(draws)
-    assert len(atlases) == len(cpfs) == 6
-    for i, cpf in enumerate(cpfs):
+    extracted = list(extract_cpfs(draws))
+    assert [i for i, _, _ in extracted] == list(range(6))
+    for i, atlas, cpf in extracted:
         assert cpf.draw_index == i
         for fp in cpf.points:
             for ref in fp.cell_refs:
-                mid = atlases[i].box(ref).midpoint()
+                mid = atlas.box(ref).midpoint()
                 assert tuple(eval_multi(draws[i].me, mid)) == fp.objective

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from treefront import kung_front, multi_cells, pf_ps
 from treefront.pareto import _strictly_dominated_mask
 
-from conftest import paired_stump_ensembles, random_multi
+from conftest import front_boxes, paired_stump_ensembles, random_multi
 from oracles import Dominance, dominates
 
 
@@ -121,7 +121,7 @@ def test_pf_ps_on_paired_stump_example():
     # the single front cell is the low corner box
     (fp,) = result.front
     assert len(fp.cell_refs) == 1
-    (box,) = result.set_boxes
+    (box,) = front_boxes(atlas, result)
     assert box.lo == (0.0, 0.0)
     assert box.hi == (0.3, 0.2)
 
@@ -131,8 +131,9 @@ def test_pf_ps_all_equal_alphas_covers_domain():
     flat = atlas.with_alphas(np.tile([2.0, 5.0], (len(atlas), 1)))
     result = pf_ps(flat)
     assert [p.objective for p in result.front] == [(2.0, 5.0)]
-    assert len(result.set_boxes) == len(flat)
-    assert sum(b.volume for b in result.set_boxes) == pytest.approx(1.0)
+    boxes = front_boxes(flat, result)
+    assert len(boxes) == len(flat)
+    assert sum(b.volume for b in boxes) == pytest.approx(1.0)
 
 
 def test_pf_ps_matches_brute_force_and_reevaluation():
@@ -222,7 +223,8 @@ def _assert_front_and_refs(atlas, result):
         expected = np.nonzero(np.all(atlas.alphas == np.array(fp.objective), axis=1))[0]
         assert refs.tolist() == expected.tolist()
     n_refs = sum(len(fp.cell_refs) for fp in result.front)
-    assert len(result.set_boxes) == n_refs
+    # no cell is named twice: distinct cells of a partition have distinct boxes
+    assert len(set(front_boxes(atlas, result))) == n_refs
 
 
 def test_pf_ps_front_order_and_cell_refs():

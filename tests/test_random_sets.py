@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from treefront import (
     CPF,
     CellRefError,
+    FrontCells,
     ObjectiveBox,
+    PFCloud,
     eaf,
     multi_cells,
     pf_cloud_rs,
@@ -14,7 +18,7 @@ from treefront import (
 from treefront.harness import extract_cpfs
 from treefront.sampler import PosteriorDraw
 
-from conftest import paired_stump_ensembles, random_cpfs, random_multi
+from conftest import front_boxes, paired_stump_ensembles, random_cpfs, random_multi
 from oracles import Dominance, dominates, dpsc_contains
 
 
@@ -155,7 +159,7 @@ def test_ps_cloud_empty():
 def test_ps_cloud_single_draw_covers_whole_front():
     # a cloud holding one draw's entire front recovers exactly that draw's
     # preimage boxes
-    from treefront import CloudPoint, PFCloud
+    from treefront import CloudPoint
 
     atlas = multi_cells(paired_stump_ensembles())
     result = pf_ps(atlas)
@@ -164,7 +168,7 @@ def test_ps_cloud_single_draw_covers_whole_front():
         tuple(CloudPoint(p.objective, 0, p.cell_refs, eaf=1.0) for p in cpf.points)
     )
     psc = ps_cloud(cloud, {0: atlas})
-    assert {b.box for b in psc.boxes} == set(result.set_boxes)
+    assert {b.box for b in psc.boxes} == set(front_boxes(atlas, result))
     # with a single draw, every own point has attainment 1, outside any band
     assert len(pf_cloud_rs([cpf], 0.9)) == 0
 
@@ -172,10 +176,12 @@ def test_ps_cloud_single_draw_covers_whole_front():
 def test_ps_cloud_boxes_reevaluate_onto_cloud_points():
     rng = np.random.default_rng(8)
     draws = [PosteriorDraw(random_multi(rng, p=2, d=2, m=3), np.ones(2)) for _ in range(6)]
-    atlases, cpfs = extract_cpfs(draws)
+    atlases, cells, cpfs = _extract(draws)
     cloud = pf_cloud_rs(cpfs, 0.8)
     assert len(cloud) > 0
     psc = ps_cloud(cloud, atlases)
+    # front-only records give the same boxes as the full atlases
+    assert ps_cloud(cloud, cells) == psc
     from treefront import eval_multi
 
     by_draw = {}
@@ -187,18 +193,37 @@ def test_ps_cloud_boxes_reevaluate_onto_cloud_points():
         assert val in by_draw[entry.draw_index]
 
 
+def _extract(draws):
+    """Full atlases, front-only records and fronts of every draw."""
+    atlases, cells, cpfs = {}, {}, []
+    for i, atlas, cpf in extract_cpfs(draws):
+        atlases[i] = atlas
+        cells[i] = FrontCells(atlas, cpf)
+        cpfs.append(cpf)
+    return atlases, cells, cpfs
+
+
 def test_ps_cloud_dangling_ref_raises():
     rng = np.random.default_rng(9)
     draws = [PosteriorDraw(random_multi(rng, p=2, d=2, m=2), np.ones(2)) for _ in range(3)]
-    atlases, cpfs = extract_cpfs(draws)
+    atlases, cells, cpfs = _extract(draws)
     cloud = pf_cloud_rs(cpfs, 0.999)
     assert len(cloud) > 0
-    with pytest.raises(CellRefError):
-        ps_cloud(cloud, {})
-    tiny = {i: at for i, at in atlases.items()}
-    # point at a draw whose atlas lacks the referenced cell
-    smaller = type(tiny[0])(tiny[0].alphas[:1], tiny[0]._los[:1], tiny[0]._his[:1], tiny[0].domain)
-    tiny[cloud.points[0].draw_index] = smaller
-    if max(cloud.points[0].cell_refs) >= 1:
-        with pytest.raises(CellRefError):
-            ps_cloud(cloud, tiny)
+    pt = cloud.points[0]
+    # a draw with no record
+    missing = {i: c for i, c in cells.items() if i != pt.draw_index}
+    with pytest.raises(CellRefError, match=f"no atlas for draw {pt.draw_index}"):
+        ps_cloud(cloud, missing)
+    # a cell of the draw's atlas that is not one of its front cells
+    front = {r for fp in cpfs[pt.draw_index].points for r in fp.cell_refs}
+    atlas = atlases[pt.draw_index]
+    outside = min(set(range(len(atlas))) - front)
+    assert len(cells[pt.draw_index]) == len(atlas)
+    stray = PFCloud((dataclasses.replace(pt, cell_refs=(outside,)),))
+    assert len(ps_cloud(stray, atlases)) == 1
+    with pytest.raises(CellRefError, match=f"cell {outside} is not a front cell"):
+        ps_cloud(stray, cells)
+    # a full atlas, as read back from an atlas file: a ref past its last cell
+    past = PFCloud((dataclasses.replace(pt, cell_refs=(len(atlas),)),))
+    with pytest.raises(CellRefError, match=f"cell {len(atlas)} missing from draw"):
+        ps_cloud(past, atlases)
