@@ -40,7 +40,7 @@ def write_draws(path, draws: Sequence[PosteriorDraw]) -> None:
 
 
 def _read_records(path, build) -> list:
-    """``build`` applied to each record of a JSON-lines file.
+    """``(line number, build(record))`` for each record of a JSON-lines file.
 
     Bad JSON, a missing field or a record that ``build`` rejects fails as
     ``<file>: line N: <reason>``, and a file with no records as
@@ -52,7 +52,7 @@ def _read_records(path, build) -> list:
             if not line.strip():
                 continue
             try:
-                out.append(build(json.loads(line)))
+                out.append((n, build(json.loads(line))))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {n}: {exc.msg} at column {exc.colno}") from None
             except KeyError as exc:
@@ -70,7 +70,26 @@ def _draw_from_record(rec: dict) -> PosteriorDraw:
 
 
 def read_draws(path) -> list[PosteriorDraw]:
-    return _read_records(path, _draw_from_record)
+    return [draw for _, draw in _read_records(path, _draw_from_record)]
+
+
+def _cells_json(atlas: ImageAtlas) -> str:
+    """The cell list of an atlas record, as ``json.dumps`` spells it.
+
+    Box coordinates come from a few cuts per variable and values repeat
+    across cells, so each distinct float is spelled once, by json itself,
+    and one ``%s`` template per cell places the spellings.  Distinct means
+    distinct bit pattern, which keeps ``-0.0`` apart from ``0.0``.
+    """
+    n, d = atlas.alphas.shape
+    p = atlas.los.shape[1]
+    block = np.hstack([atlas.alphas, atlas.los, atlas.his])
+    bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    # json spells NaN, Infinity and every finite float exactly as in a record
+    words = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    cell = '{"alpha": [%s], "box": {"lo": [%s], "hi": [%s]}}' % (
+        ", ".join(["%s"] * d), ", ".join(["%s"] * p), ", ".join(["%s"] * p))
+    return "[%s]" % ", ".join([cell] * n) % tuple(np.array(words, dtype=object)[inverse])
 
 
 def write_atlas_file(path, entries: Iterable[tuple[int, ImageAtlas, Optional[CPF]]]) -> None:
@@ -78,31 +97,26 @@ def write_atlas_file(path, entries: Iterable[tuple[int, ImageAtlas, Optional[CPF
 
     The set boxes are the boxes of the front points' cells, in front order.
     Each line is written as soon as its entry arrives, so a generator of
-    entries is never held whole.
+    entries is never held whole.  A line has the bytes ``json.dumps`` gives
+    the record ``{"draw_index", "cells": [{"alpha", "box": {"lo", "hi"}}],
+    "front", "set_boxes"}``.
     """
     with open(path, "w", newline="\n") as fh:
         for draw_index, atlas, cpf in entries:
-            # tolist() yields Python floats, which json writes with the same
-            # repr as the numpy floats they come from
-            rec = {
-                "draw_index": draw_index,
-                "cells": [
-                    {"alpha": alpha, "box": {"lo": lo, "hi": hi}}
-                    for alpha, lo, hi in zip(atlas.alphas.tolist(), atlas.los.tolist(),
-                                             atlas.his.tolist())
-                ],
-            }
+            line = '{"draw_index": %s, "cells": %s' % (json.dumps(draw_index), _cells_json(atlas))
             if cpf is not None:
-                rec["front"] = [
+                front = [
                     {"objective": list(fp.objective), "cell_refs": list(fp.cell_refs)}
                     for fp in cpf.points
                 ]
-                rec["set_boxes"] = [
+                set_boxes = [
                     {"lo": atlas.los[r].tolist(), "hi": atlas.his[r].tolist()}
                     for fp in cpf.points for r in fp.cell_refs
                 ]
-            fh.write(json.dumps(rec) + "\n")
-            del atlas, rec  # before the next entry is built
+                line += ', "front": %s, "set_boxes": %s' % (json.dumps(front),
+                                                           json.dumps(set_boxes))
+            fh.write(line + "}\n")
+            del atlas, line  # before the next entry is built
 
 
 def _atlas_from_record(rec: dict) -> tuple[int, ImageAtlas]:
@@ -117,8 +131,18 @@ def _atlas_from_record(rec: dict) -> tuple[int, ImageAtlas]:
 
 
 def read_atlas_file(path) -> list[tuple[int, ImageAtlas]]:
-    """Rebuild each draw's atlas; the domain is the union of its cell boxes."""
-    return _read_records(path, _atlas_from_record)
+    """Rebuild each draw's atlas; the domain is the union of its cell boxes.
+
+    A draw index that two records share fails as
+    ``<file>: line N: draw_index I repeats line M``.
+    """
+    records = _read_records(path, _atlas_from_record)
+    first_line: dict[int, int] = {}
+    for n, (i, _) in records:
+        m = first_line.setdefault(i, n)
+        if m != n:
+            raise ValueError(f"{path}: line {n}: draw_index {i} repeats line {m}")
+    return [entry for _, entry in records]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Reference implementations that tests compare the package against."""
 
 import enum
-from typing import Optional
+import json
+from typing import Iterable, Optional
 
 import numpy as np
 
-from treefront import CPF
+from treefront import CPF, ImageAtlas
 from treefront.trees import Domain, Ensemble, Hyperrectangle, tree_leaf_regions
 
 
@@ -78,3 +79,33 @@ def leaf_box_fold(ensembles: tuple[Ensemble, ...], domain: Domain):
             his = np.vstack(new_hi)
             sums = np.vstack(new_sum)
     return sums, los, his
+
+
+def dict_atlas_writer(path, entries: Iterable[tuple[int, ImageAtlas, Optional[CPF]]]) -> None:
+    """The atlas file writer that builds each record as Python dicts and lists.
+
+    treefront.fileio.write_atlas_file must write the same bytes.
+    """
+    with open(path, "w", newline="\n") as fh:
+        for draw_index, atlas, cpf in entries:
+            # tolist() yields Python floats, which json writes with the same
+            # repr as the numpy floats they come from
+            rec = {
+                "draw_index": draw_index,
+                "cells": [
+                    {"alpha": alpha, "box": {"lo": lo, "hi": hi}}
+                    for alpha, lo, hi in zip(atlas.alphas.tolist(), atlas.los.tolist(),
+                                             atlas.his.tolist())
+                ],
+            }
+            if cpf is not None:
+                rec["front"] = [
+                    {"objective": list(fp.objective), "cell_refs": list(fp.cell_refs)}
+                    for fp in cpf.points
+                ]
+                rec["set_boxes"] = [
+                    {"lo": atlas.los[r].tolist(), "hi": atlas.his[r].tolist()}
+                    for fp in cpf.points for r in fp.cell_refs
+                ]
+            fh.write(json.dumps(rec) + "\n")
+            del atlas, rec  # before the next entry is built

@@ -129,8 +129,9 @@ def _outside_cut(rec):
     ("draws", lambda lines: "", "no records"),
     ("atlas", _edit_record(1, lambda rec: rec.update(cells=[])), "line 2: record has no cells"),
     ("atlas", lambda lines: "\n", "no records"),
+    ("atlas", lambda lines: "".join(lines + [lines[3]]), "line 5: draw_index 3 repeats line 4"),
 ], ids=["truncated_json", "cut_outside_box", "missing_field", "empty_draws", "no_cells",
-        "blank_atlas"])
+        "blank_atlas", "repeated_draw_index"])
 def test_record_errors_name_file_and_line(draws_file, atlas_file, tmp_path, capsys,
                                           source, text, problem):
     good = draws_file if source == "draws" else atlas_file

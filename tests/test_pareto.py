@@ -259,3 +259,71 @@ def test_pf_ps_on_sampler_draws_p4():
             on_front[list(fp.cell_refs)] = True
         assert np.all(_strictly_dominated_mask(atlas.alphas[~on_front], front))
         assert len(atlas) > 100 and len(front) > 1
+
+
+# -- the anchor prefilter: rows the least-sum row strictly dominates go first ----
+
+def _assert_front_and_refs_match_scan(pts):
+    """Front equals the quadratic scan, in lexicographic order, and each front
+    row's refs are the ascending indices of every input row equal to it."""
+    pts = np.asarray(pts, dtype=float)
+    front, refs = kung_front(pts, return_refs=True)
+    assert as_set(front) == brute_force_front(pts)
+    assert front.tolist() == sorted(front.tolist())
+    assert len(refs) == len(front)
+    for row, r in zip(front, refs):
+        assert r.tolist() == np.flatnonzero(np.all(pts == row, axis=1)).tolist()
+
+
+def test_kung_prefilter_on_sampler_atlases():
+    from treefront import BartConfig, Dataset, fit_multi_bart, get_benchmark, unit_scale
+
+    for name in ("dtlz2m", "mop2"):
+        bench = unit_scale(get_benchmark(name))
+        X = np.random.default_rng(14).random((48, bench.p))
+        data = Dataset(X, bench.evaluate(X), bench.domain)
+        cfg = BartConfig(m=8, min_leaf_obs=5, n_burn=15, n_draws=2)
+        for draw in fit_multi_bart(data, cfg, 14):
+            alphas = multi_cells(draw.me).alphas
+            assert len(alphas) > 100
+            _assert_front_and_refs_match_scan(alphas)
+
+
+def test_kung_prefilter_keeps_rows_tied_with_the_anchor():
+    # (1, 1) has the least sum; its copies stay, rows tied with it in one
+    # coordinate and worse in the other go, and (0, 3), (3, 0) stay
+    pts = [(2, 1), (1, 1), (1, 2), (0, 3), (1, 1), (3, 0), (1, 1), (0.0, 2), (-0.0, 2)]
+    _assert_front_and_refs_match_scan(pts)
+    front, refs = kung_front(pts, return_refs=True)
+    assert front.tolist() == [[0.0, 2.0], [1.0, 1.0], [3.0, 0.0]]
+    assert [r.tolist() for r in refs] == [[7, 8], [1, 4, 6], [5]]
+    # every row ties with the anchor
+    _assert_front_and_refs_match_scan([(2, 2)] * 5)
+
+
+def test_kung_prefilter_with_infinite_rows():
+    inf = np.inf
+    # the first row's coordinate sum is NaN, and argmin picks the first NaN
+    _assert_front_and_refs_match_scan([(inf, -inf), (inf, 3), (0, 0), (-inf, inf), (-inf, 5)])
+    _assert_front_and_refs_match_scan([(0, 0), (inf, inf), (-inf, 1), (1, -inf), (1, -inf)])
+    rng = np.random.default_rng(15)
+    for n in (2, 9, 300):
+        pts = rng.integers(0, 6, (n, 2)).astype(float)
+        pts[rng.random(n) < 0.1, 0] = inf
+        pts[rng.random(n) < 0.1, 1] = -inf
+        pts[rng.random(n) < 0.1, 1] = inf
+        _assert_front_and_refs_match_scan(pts)
+
+
+def test_kung_prefilter_three_objectives():
+    rng = np.random.default_rng(16)
+    for n in (1, 5, 40, 400):
+        _assert_front_and_refs_match_scan(np.round(rng.random((n, 3)), 1))
+    _assert_front_and_refs_match_scan([(1, 1, 1), (1, 1, 2), (1, 1, 1), (0, 5, 0), (2, 2, 2)])
+
+
+def test_kung_empty_input():
+    for d in (2, 3):
+        front, refs = kung_front(np.empty((0, d)), return_refs=True)
+        assert front.shape == (0, d) and refs == []
+        assert kung_front(np.empty((0, d))).shape == (0, d)
