@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from treefront import run_turning
+from treefront import get_benchmark, run_turning
 from treefront.fileio import write_depths_csv, write_pf_cloud_csv, write_ps_boxes_csv
 
 
@@ -33,8 +33,9 @@ def main() -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_pf_cloud_csv(out_dir / "pf_cloud.csv", res.cloud, "depth_rank")
-    write_ps_boxes_csv(out_dir / "ps_boxes.csv", res.ps)
+    bench = get_benchmark("turning")
+    write_pf_cloud_csv(out_dir / "pf_cloud.csv", res.cloud, "depth_rank", bench.d)
+    write_ps_boxes_csv(out_dir / "ps_boxes.csv", res.ps, bench.p)
     write_depths_csv(out_dir / "depths.csv", range(len(res.depths.depths)), res.depths.depths)
     print(f"cloud: {len(res.cloud)} points, {len(res.ps)} preimage boxes")
     print(f"unit-scaled overcoverage={res.overcoverage:.4f} undercoverage={res.undercoverage:.4f}")

@@ -4,14 +4,14 @@
 Runs the seeded CLI workflow (`fit --burn 20 --draws 25 --seed 3`,
 `extract` with and without `--front`, `uq` rs 0.25 and mbd 0.5) on 128-row
 training sets of unit-scaled mop2 and zdt3, and `fit --burn 20 --draws 4
---seed 3` then `extract --front` on a 128-row training set of unit-scaled
-dtlz2m (p=4, about 40k cells per atlas record).  Also runs one
-`run_scenario` of dtlz2m at n=128, 60 burn + 8 draws, one LHS restart, and
-one `run_turning` at n=150, 50 burn + 15 draws, m=10, one LHS restart, seed
-9.  Prints one line per output file of the mop2 and zdt3 workflows, one for
-the dtlz2m atlas file, one for the pickled scenario report (timings left
-out) and one for the pickled turning result.  Run it on two checkouts and
-compare the output:
+--seed 3`, `extract --front`, then `uq` rs 0.25 and mbd 0.5 on a 128-row
+training set of unit-scaled dtlz2m (p=4, about 40k cells per atlas record).
+Also runs one `run_scenario` of dtlz2m at n=128, 60 burn + 8 draws, one LHS
+restart, and one `run_turning` at n=150, 50 burn + 15 draws, m=10, one LHS
+restart, seed 9.  Prints one line per output file of the mop2 and zdt3
+workflows, one for the dtlz2m atlas file, one per dtlz2m `uq` output file,
+one for the pickled scenario report (timings left out) and one for the
+pickled turning result.  Run it on two checkouts and compare the output:
 
     python3 scripts/seeded_digests.py > digests.txt
 """
@@ -61,11 +61,17 @@ def _fit_and_extract(name: str, root: Path, n_draws: int) -> tuple[Path, str, st
     return d, draws, atlas
 
 
+def _uq(d: Path, atlas: str) -> list[Path]:
+    """`uq` rs 0.25 and mbd 0.5 on an atlas file; the files they wrote."""
+    _cli(["uq", "--atlas", atlas, "--method", "rs", "--alpha", "0.25", "--out-dir", str(d / "uq")])
+    _cli(["uq", "--atlas", atlas, "--method", "mbd", "--alpha", "0.5", "--out-dir", str(d / "uq")])
+    return sorted((d / "uq").iterdir())
+
+
 def cli_workflow(name: str, root: Path) -> list[Path]:
     d, draws, atlas = _fit_and_extract(name, root, 25)
     _cli(["extract", "--draws", draws, "--out", str(d / "atlas_cells.jsonl")])
-    _cli(["uq", "--atlas", atlas, "--method", "rs", "--alpha", "0.25", "--out-dir", str(d / "uq")])
-    _cli(["uq", "--atlas", atlas, "--method", "mbd", "--alpha", "0.5", "--out-dir", str(d / "uq")])
+    _uq(d, atlas)
     return sorted(p for p in d.rglob("*") if p.is_file())
 
 
@@ -90,8 +96,9 @@ def main() -> int:
         for name in ("mop2", "zdt3"):
             for path in cli_workflow(name, root):
                 print(f"{_sha(path.read_bytes())}  {path.relative_to(root)}")
-        atlas = Path(_fit_and_extract("dtlz2m", root, 4)[2])
-        print(f"{_sha(atlas.read_bytes())}  {atlas.relative_to(root)}")
+        d, _, atlas = _fit_and_extract("dtlz2m", root, 4)
+        for path in [Path(atlas)] + _uq(d, atlas):
+            print(f"{_sha(path.read_bytes())}  {path.relative_to(root)}")
     print(f"{_sha(scenario_report())}  dtlz2m_p4 run_scenario report")
     print(f"{_sha(turning_result())}  turning run_turning result")
     return 0

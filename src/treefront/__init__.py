@@ -37,7 +37,6 @@ from .random_sets import (
     CPF,
     CellRefError,
     CloudPoint,
-    FrontCells,
     ObjectiveBox,
     PFCloud,
     PSCloud,

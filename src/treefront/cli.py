@@ -11,6 +11,7 @@ from pathlib import Path
 from . import fileio
 from .atlas import multi_cells
 from .band_depth import modified_band_depth, pf_cloud_mbd
+from .benchmarks import get_benchmark
 from .harness import Scenario, extract_cpfs, run_scenario
 from .metrics import coverage
 from .pareto import pf_ps
@@ -70,22 +71,24 @@ def cmd_extract(args) -> int:
 
 
 def cmd_uq(args) -> int:
-    entries = fileio.read_atlas_file(args.atlas)
+    cpfs = []
+    for i, atlas in fileio.read_atlas_file(args.atlas):
+        cpfs.append(CPF.from_result(i, pf_ps(atlas)))
+        d, p = atlas.d, atlas.domain.p
+        del atlas  # before the next record's atlas is built
     if args.method == "rs":
-        require_rs_band(len(entries), args.alpha)
-    atlases = {i: at for i, at in entries}
-    cpfs = [CPF.from_result(i, pf_ps(at)) for i, at in entries]
+        require_rs_band(len(cpfs), args.alpha)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.method == "rs":
         cloud = pf_cloud_rs(cpfs, args.alpha)
-        fileio.write_pf_cloud_csv(out_dir / "rs_pf_cloud.csv", cloud, "eaf")
-        fileio.write_ps_boxes_csv(out_dir / "rs_ps_boxes.csv", ps_cloud(cloud, atlases))
+        fileio.write_pf_cloud_csv(out_dir / "rs_pf_cloud.csv", cloud, "eaf", d)
+        fileio.write_ps_boxes_csv(out_dir / "rs_ps_boxes.csv", ps_cloud(cloud, cpfs), p)
     elif args.method == "mbd":
         depths = modified_band_depth(cpfs, args.cuts)
         cloud = pf_cloud_mbd(cpfs, depths, args.alpha)
-        fileio.write_pf_cloud_csv(out_dir / "mbd_pf_cloud.csv", cloud, "depth_rank")
-        fileio.write_ps_boxes_csv(out_dir / "mbd_ps_boxes.csv", ps_cloud(cloud, atlases))
+        fileio.write_pf_cloud_csv(out_dir / "mbd_pf_cloud.csv", cloud, "depth_rank", d)
+        fileio.write_ps_boxes_csv(out_dir / "mbd_ps_boxes.csv", ps_cloud(cloud, cpfs), p)
         fileio.write_depths_csv(
             out_dir / "depths.csv", [c.draw_index for c in cpfs], depths.depths
         )
@@ -117,6 +120,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     report = run_scenario(sc)
+    bench = get_benchmark(sc.benchmark)
     out_dir = Path(args.out)
     clouds = out_dir / "clouds"
     clouds.mkdir(parents=True, exist_ok=True)
@@ -132,10 +136,11 @@ def cmd_simulate(args) -> int:
     )
     for art in report.artifacts:
         tag = f"rep{art.replicate:03d}"
-        fileio.write_pf_cloud_csv(clouds / f"{tag}_rs_pf.csv", art.rs_cloud, "eaf")
-        fileio.write_ps_boxes_csv(clouds / f"{tag}_rs_ps_boxes.csv", art.rs_ps)
-        fileio.write_pf_cloud_csv(clouds / f"{tag}_mbd_pf.csv", art.mbd_cloud, "depth_rank")
-        fileio.write_ps_boxes_csv(clouds / f"{tag}_mbd_ps_boxes.csv", art.mbd_ps)
+        fileio.write_pf_cloud_csv(clouds / f"{tag}_rs_pf.csv", art.rs_cloud, "eaf", bench.d)
+        fileio.write_ps_boxes_csv(clouds / f"{tag}_rs_ps_boxes.csv", art.rs_ps, bench.p)
+        fileio.write_pf_cloud_csv(clouds / f"{tag}_mbd_pf.csv", art.mbd_cloud, "depth_rank",
+                                  bench.d)
+        fileio.write_ps_boxes_csv(clouds / f"{tag}_mbd_ps_boxes.csv", art.mbd_ps, bench.p)
         fileio.write_depths_csv(
             clouds / f"{tag}_depths.csv",
             range(len(art.depths.depths)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,29 +39,32 @@ def write_draws(path, draws: Sequence[PosteriorDraw]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def _read_records(path, build) -> list:
+def _read_records(path, build) -> Iterator:
     """``(line number, build(record))`` for each record of a JSON-lines file.
 
-    Bad JSON, a missing field or a record that ``build`` rejects fails as
+    A generator: each record is built when the caller asks for it.  Bad
+    JSON, a missing field or a record that ``build`` rejects fails as
     ``<file>: line N: <reason>``, and a file with no records as
     ``<file>: no records``.
     """
-    out = []
+    found = False
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                out.append((n, build(json.loads(line))))
+                value = build(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {n}: {exc.msg} at column {exc.colno}") from None
             except KeyError as exc:
                 raise ValueError(f"{path}: line {n}: missing field {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {n}: {exc}") from None
-    if not out:
+            found = True
+            yield n, value
+            del value  # before the next record is built
+    if not found:
         raise ValueError(f"{path}: no records")
-    return out
 
 
 def _draw_from_record(rec: dict) -> PosteriorDraw:
@@ -109,10 +112,8 @@ def write_atlas_file(path, entries: Iterable[tuple[int, ImageAtlas, Optional[CPF
                     {"objective": list(fp.objective), "cell_refs": list(fp.cell_refs)}
                     for fp in cpf.points
                 ]
-                set_boxes = [
-                    {"lo": atlas.los[r].tolist(), "hi": atlas.his[r].tolist()}
-                    for fp in cpf.points for r in fp.cell_refs
-                ]
+                set_boxes = [{"lo": lo, "hi": hi}
+                             for lo, hi in zip(cpf.los.tolist(), cpf.his.tolist())]
                 line += ', "front": %s, "set_boxes": %s' % (json.dumps(front),
                                                            json.dumps(set_boxes))
             fh.write(line + "}\n")
@@ -130,19 +131,22 @@ def _atlas_from_record(rec: dict) -> tuple[int, ImageAtlas]:
     return int(rec["draw_index"]), ImageAtlas(alphas, los, his, domain)
 
 
-def read_atlas_file(path) -> list[tuple[int, ImageAtlas]]:
+def read_atlas_file(path) -> Iterator[tuple[int, ImageAtlas]]:
     """Rebuild each draw's atlas; the domain is the union of its cell boxes.
 
-    A draw index that two records share fails as
-    ``<file>: line N: draw_index I repeats line M``.
+    A generator: each atlas is built when the caller asks for it and is
+    dropped here before the next one is built, so a caller that keeps no
+    atlas holds one at a time.  A draw index that two records share fails
+    as ``<file>: line N: draw_index I repeats line M``.
     """
-    records = _read_records(path, _atlas_from_record)
     first_line: dict[int, int] = {}
-    for n, (i, _) in records:
+    for n, entry in _read_records(path, _atlas_from_record):
+        i = entry[0]
         m = first_line.setdefault(i, n)
         if m != n:
             raise ValueError(f"{path}: line {n}: draw_index {i} repeats line {m}")
-    return [entry for _, entry in records]
+        yield entry
+        del entry  # before the next record is built
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +167,10 @@ def write_csv(path, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
 
 
-def write_pf_cloud_csv(path, cloud: PFCloud, annotation: str) -> None:
-    """Cloud points with their attainment value or depth rank."""
+def write_pf_cloud_csv(path, cloud: PFCloud, annotation: str, d: int) -> None:
+    """Cloud points of d objectives with their attainment value or depth rank."""
     if annotation not in ("eaf", "depth_rank"):
         raise ValueError("annotation must be 'eaf' or 'depth_rank'")
-    d = len(cloud.points[0].objective) if cloud.points else 2
     header = [f"y{j + 1}" for j in range(d)] + [annotation, "draw_index"]
     rows = []
     for pt in cloud.points:
@@ -176,8 +179,8 @@ def write_pf_cloud_csv(path, cloud: PFCloud, annotation: str) -> None:
     write_csv(path, header, rows)
 
 
-def write_ps_boxes_csv(path, ps: PSCloud) -> None:
-    p = len(ps.boxes[0].box.lo) if ps.boxes else 2
+def write_ps_boxes_csv(path, ps: PSCloud, p: int) -> None:
+    """Boxes of p inputs, one row each, with the draw they come from."""
     header = []
     for j in range(p):
         header += [f"lo{j + 1}", f"hi{j + 1}"]

@@ -21,8 +21,7 @@ from .band_depth import DepthResult, modified_band_depth, pf_cloud_mbd
 from .benchmarks import Benchmark, get_benchmark, unit_scale
 from .metrics import coverage, ps_cloud_to_points
 from .pareto import pf_ps
-from .random_sets import (CPF, FrontCells, ObjectiveBox, PFCloud, PSCloud, pf_cloud_rs, ps_cloud,
-                          require_rs_band)
+from .random_sets import CPF, ObjectiveBox, PFCloud, PSCloud, pf_cloud_rs, ps_cloud, require_rs_band
 from .sampler import BartConfig, Dataset, as_generator, fit_multi_bart
 
 
@@ -42,6 +41,8 @@ def maximin_lhs(n: int, p: int, rng, restarts: int = 8,
     """
     if n < 2:
         raise ValueError("need at least two design points")
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be >= 1")
     gen = as_generator(rng)
     if n_swaps is None:
         n_swaps = min(40 * n, 4000)
@@ -126,6 +127,9 @@ class Scenario:
     truth_samples: int = 1000
 
     def __post_init__(self):
+        for name in ("replicates", "lhs_restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if self.n < 2 * self.bart.min_leaf_obs:
             raise ValueError("sample size too small for the leaf-size floor")
         if self.noise_mult < 0:
@@ -192,16 +196,13 @@ def extract_cpfs(draws, output_map: Optional[Callable] = None
         del atlas
 
 
-def _front_cells(draws, output_map: Optional[Callable] = None
-                ) -> tuple[list[CPF], dict[int, FrontCells]]:
-    """Every draw's front and front cells, with one full atlas alive at a time."""
+def _fronts(draws, output_map: Optional[Callable] = None) -> list[CPF]:
+    """Every draw's front and set boxes, with one full atlas alive at a time."""
     cpfs: list[CPF] = []
-    cells: dict[int, FrontCells] = {}
-    for i, atlas, cpf in extract_cpfs(draws, output_map):
+    for _, atlas, cpf in extract_cpfs(draws, output_map):
         cpfs.append(cpf)
-        cells[i] = FrontCells(atlas, cpf)
         del atlas  # before the next draw's atlas is built
-    return cpfs, cells
+    return cpfs
 
 
 def _replicate_run(bench: Benchmark, sc: Scenario, rep: int):
@@ -210,7 +211,7 @@ def _replicate_run(bench: Benchmark, sc: Scenario, rep: int):
     design = maximin_lhs(sc.n, bench.p, s_design, sc.lhs_restarts)
     data = generate_data(bench, design, sc.noise_mult, s_noise)
     draws = fit_multi_bart(data, sc.bart, s_fit)
-    cpfs, cells = _front_cells(draws)
+    cpfs = _fronts(draws)
 
     rs_cloud = pf_cloud_rs(cpfs, sc.alpha_rs)
     if len(rs_cloud) == 0:
@@ -219,8 +220,8 @@ def _replicate_run(bench: Benchmark, sc: Scenario, rep: int):
         )
     depth_res = modified_band_depth(cpfs, sc.mbd_cuts)
     mbd_cloud = pf_cloud_mbd(cpfs, depth_res, sc.alpha_mbd)
-    rs_ps = ps_cloud(rs_cloud, cells)
-    mbd_ps = ps_cloud(mbd_cloud, cells)
+    rs_ps = ps_cloud(rs_cloud, cpfs)
+    mbd_ps = ps_cloud(mbd_cloud, cpfs)
     obox = ObjectiveBox.from_points(data.outputs)
     return ReplicateArtifacts(rep, obox, rs_cloud, rs_ps, mbd_cloud, mbd_ps, depth_res)
 
@@ -244,7 +245,7 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
             ("mbd", art.mbd_cloud, art.mbd_ps),
         ):
             pf_over, pf_under = coverage(cloud.objectives(), truth_front)
-            ps_pts = ps_cloud_to_points(psc, 1)
+            ps_pts = ps_cloud_to_points(psc)
             ps_over, ps_under = coverage(ps_pts, truth_set)
             rows.append(CoverageRow(rep, method, "pf", pf_over, pf_under))
             rows.append(CoverageRow(rep, method, "ps", ps_over, ps_under))
@@ -293,10 +294,10 @@ def run_turning(
     cfg = BartConfig(m=m, n_burn=burn, n_draws=draws)
     posterior = fit_multi_bart(data, cfg, s_fit)
 
-    cpfs, cells = _front_cells(posterior, np.exp)
+    cpfs = _fronts(posterior, np.exp)
     depth_res = modified_band_depth(cpfs, mbd_cuts)
     cloud = pf_cloud_mbd(cpfs, depth_res, alpha_mbd)
-    psc = ps_cloud(cloud, cells)
+    psc = ps_cloud(cloud, cpfs)
 
     # score in unit-scaled objective space so the two costs weigh equally
     ranges = bench.output_ranges()

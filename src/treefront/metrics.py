@@ -12,9 +12,6 @@ import numpy as np
 
 from .random_sets import PSCloud
 
-# small primes give a full-period Kronecker lattice in each box
-_LATTICE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
 
 def dist_point_to_set(a, B) -> float:
     """Euclidean distance from point a to the nearest point of B."""
@@ -48,27 +45,9 @@ def coverage(cloud, truth) -> tuple[float, float]:
     return avg_dist(cloud, truth), avg_dist(truth, cloud)
 
 
-def ps_cloud_to_points(ps: PSCloud, k_per_box: int = 1) -> np.ndarray:
-    """Deterministic representative points for a union of boxes.
-
-    One centroid per box; for k_per_box > 1 a Kronecker lattice centered on
-    the centroid fills each box, so metric values stabilize as k grows.
-    """
-    if k_per_box < 1:
-        raise ValueError("k_per_box must be >= 1")
-    pts = []
-    for entry in ps.boxes:
-        box = entry.box
-        lo = np.array(box.lo)
-        hi = np.array(box.hi)
-        mid = (lo + hi) / 2.0
-        pts.append(mid)
-        if k_per_box > 1:
-            p = len(lo)
-            alpha = np.sqrt(np.array(_LATTICE_PRIMES[:p], dtype=float))
-            t = np.arange(1, k_per_box)[:, None]
-            frac = np.mod(0.5 + t * alpha[None, :], 1.0)
-            pts.append(lo + frac * (hi - lo))
+def ps_cloud_to_points(ps: PSCloud) -> np.ndarray:
+    """The centroid of each box of a union of boxes."""
+    pts = [(np.array(e.box.lo) + np.array(e.box.hi)) / 2.0 for e in ps.boxes]
     if not pts:
         return np.empty((0, 0))
-    return np.vstack([np.atleast_2d(x) for x in pts])
+    return np.vstack(pts)

@@ -14,7 +14,7 @@ half's survivors that no first-half survivor strictly dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,7 +107,15 @@ class FrontPoint:
 
 @dataclass(frozen=True)
 class ParetoResult:
+    """A front, and the ``lo``/``hi`` rows of its cells' boxes (its set).
+
+    The rows hold one box per ref, in front order: the refs of the first
+    point, then those of the second, and so on.
+    """
+
     front: tuple[FrontPoint, ...]
+    los: np.ndarray = field(compare=False, repr=False)
+    his: np.ndarray = field(compare=False, repr=False)
 
 
 def pf_ps(atlas) -> ParetoResult:
@@ -115,8 +123,9 @@ def pf_ps(atlas) -> ParetoResult:
 
     Every cell whose value equals a front objective is among that point's
     ``cell_refs``, so the boxes of the refs are the full preimage of the
-    front.
+    front.  The boxes are copied, so the result keeps nothing of the atlas.
     """
     vals, refs = kung_front(atlas.alphas, return_refs=True)
     points = (FrontPoint(tuple(v), tuple(int(r) for r in rs)) for v, rs in zip(vals, refs))
-    return ParetoResult(tuple(points))
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *refs])
+    return ParetoResult(tuple(points), atlas.los[rows], atlas.his[rows])

@@ -9,26 +9,33 @@ attainment sits in a central band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .atlas import ImageAtlas
 from .pareto import FrontPoint, ParetoResult
 from .trees import Hyperrectangle
 
 
 class CellRefError(LookupError):
-    """A cloud point references a cell missing from its source atlas."""
+    """A cloud point references a cell that is not behind its draw's front."""
 
 
 @dataclass(frozen=True)
 class CPF:
-    """Conditional Pareto front of one posterior draw."""
+    """Conditional Pareto front of one posterior draw, with its set boxes.
+
+    ``los``/``his`` hold one box row per cell ref, in front order, as
+    ``pf_ps`` copies them from the atlas; a CPF built from bare objectives
+    has no refs and no rows.
+    """
 
     draw_index: int
     points: tuple[FrontPoint, ...]
+    los: np.ndarray = field(default_factory=lambda: np.empty((0, 0)), compare=False, repr=False)
+    his: np.ndarray = field(default_factory=lambda: np.empty((0, 0)), compare=False, repr=False)
 
     @property
     def n_i(self) -> int:
@@ -37,9 +44,22 @@ class CPF:
     def objectives(self) -> np.ndarray:
         return np.array([p.objective for p in self.points])
 
+    @cached_property
+    def _rows(self) -> dict[int, int]:
+        refs = (r for fp in self.points for r in fp.cell_refs)
+        return {r: k for k, r in enumerate(refs)}
+
+    def box(self, ref: int) -> Hyperrectangle:
+        """Box of front cell ``ref``, new on every call, as ``ImageAtlas.box`` builds one."""
+        try:
+            k = self._rows[ref]
+        except KeyError:
+            raise CellRefError(f"cell {ref} is not a front cell") from None
+        return Hyperrectangle(tuple(self.los[k]), tuple(self.his[k]))
+
     @staticmethod
     def from_result(draw_index: int, result: ParetoResult) -> "CPF":
-        return CPF(draw_index, result.front)
+        return CPF(draw_index, result.front, result.los, result.his)
 
     @staticmethod
     def from_points(draw_index: int, objectives) -> "CPF":
@@ -157,48 +177,14 @@ def pf_cloud_rs(cpfs: Sequence[CPF], alpha_rs: float) -> PFCloud:
     return PFCloud(tuple(kept))
 
 
-class FrontCells:
-    """The front cells of one draw's atlas, kept once the atlas is dropped.
-
-    Holds the atlas's cell count and copies of the ``lo``/``hi`` rows of the
-    cells its front's ``cell_refs`` name.  Refs keep their full-atlas
-    indices, so ``ps_cloud`` reads boxes here through the same ``len()`` and
-    ``box(ref)`` as on an ``ImageAtlas``.
-    """
-
-    def __init__(self, atlas: ImageAtlas, cpf: CPF):
-        refs = sorted({r for fp in cpf.points for r in fp.cell_refs})
-        self._n = len(atlas)
-        self._row = {r: k for k, r in enumerate(refs)}
-        # fancy indexing copies, so these rows keep nothing else of the atlas
-        self._los = atlas.los[refs]
-        self._his = atlas.his[refs]
-
-    def __len__(self) -> int:
-        return self._n
-
-    def box(self, ref: int) -> Hyperrectangle:
-        # a new box on every call, as ImageAtlas.box builds one
-        try:
-            k = self._row[ref]
-        except KeyError:
-            raise CellRefError(f"cell {ref} is not a front cell") from None
-        return Hyperrectangle(tuple(self._los[k]), tuple(self._his[k]))
-
-
-def ps_cloud(cloud: PFCloud, atlases: Mapping[int, ImageAtlas | FrontCells]) -> PSCloud:
-    """Union of the preimage boxes behind every cloud point.
-
-    ``atlases`` maps a draw index to its full atlas or its front cells.
-    """
+def ps_cloud(cloud: PFCloud, cpfs: Sequence[CPF]) -> PSCloud:
+    """Union of the set boxes behind every cloud point, read from its draw's CPF."""
+    by_draw = {c.draw_index: c for c in cpfs}
     boxes = []
     for pt in cloud.points:
         try:
-            atlas = atlases[pt.draw_index]
+            cpf = by_draw[pt.draw_index]
         except KeyError:
-            raise CellRefError(f"no atlas for draw {pt.draw_index}")
-        for ref in pt.cell_refs:
-            if not 0 <= ref < len(atlas):
-                raise CellRefError(f"cell {ref} missing from draw {pt.draw_index}")
-            boxes.append(SourcedBox(atlas.box(ref), pt.draw_index))
+            raise CellRefError(f"no front for draw {pt.draw_index}") from None
+        boxes += [SourcedBox(cpf.box(ref), pt.draw_index) for ref in pt.cell_refs]
     return PSCloud(tuple(boxes))

@@ -90,6 +90,10 @@ class BartConfig:
             raise ValueError("need at least two cutpoints")
         if self.min_leaf_obs < 1:
             raise ValueError("min_leaf_obs must be >= 1")
+        if self.n_burn < 0:
+            raise ValueError(f"n_burn={self.n_burn} must be >= 0")
+        if self.n_draws < 1:
+            raise ValueError(f"n_draws={self.n_draws} must be >= 1")
 
     @property
     def sigma_mu2(self) -> float:

@@ -1,12 +1,15 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from treefront import eval_multi, get_benchmark, maximin_lhs
+from treefront import (BartConfig, Dataset, Domain, ImageAtlas, eval_multi, fit_multi_bart,
+                       get_benchmark, maximin_lhs, multi_cells, pf_ps, unit_scale)
 from treefront.cli import main
-from treefront.fileio import read_atlas_file, read_draws, read_points_csv, write_csv
+from treefront.fileio import (read_atlas_file, read_draws, read_points_csv, write_atlas_file,
+                              write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +56,7 @@ def draws_file(dataset_csv, tmp_path_factory):
 def test_extract_atlas_schema_and_values(draws_file, tmp_path):
     out = tmp_path / "atlas.jsonl"
     assert main(["extract", "--draws", str(draws_file), "--out", str(out)]) == 0
-    entries = read_atlas_file(out)
+    entries = list(read_atlas_file(out))
     draws = read_draws(draws_file)
     assert len(entries) == len(draws)
     for (idx, atlas), draw in zip(entries, draws):
@@ -298,3 +301,77 @@ def test_metrics_input_errors_name_file_and_problem(tmp_path, capsys, body, prob
     assert main(["metrics", "--cloud", str(cloud), "--truth", str(truth), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {cloud}: {problem}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["fit", "--draws", "0"], "n_draws=0 must be >= 1"),
+    (["fit", "--burn", "-2"], "n_burn=-2 must be >= 0"),
+    (["simulate", "--reps", "0"], "replicates=0 must be >= 1"),
+], ids=["no_draws", "negative_burn", "no_replicates"])
+def test_run_sizes_below_their_floor_fail_with_one_line(dataset_csv, tmp_path, capsys, argv,
+                                                        problem):
+    out = tmp_path / "out"
+    if argv[0] == "fit":
+        argv = argv + ["--data", str(dataset_csv), "--out", str(out)]
+    else:
+        args = list(SIM_ARGS)
+        args[args.index(argv[1]) + 1] = argv[2]
+        argv = args + ["--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+def test_uq_empty_cloud_headers_name_every_input_and_output(tmp_path):
+    # two equal draws attain each front point with 1, outside the RS band,
+    # so the clouds are empty; the headers still follow d=3 and p=3
+    rng = np.random.default_rng(4)
+    los = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    his = np.array([[0.5, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    atlas = ImageAtlas(rng.random((2, 3)), los, his, Domain.unit(3))
+    path = tmp_path / "atlas.jsonl"
+    write_atlas_file(path, [(0, atlas, None), (1, atlas, None)])
+    out = tmp_path / "uq"
+    assert main(["uq", "--atlas", str(path), "--method", "rs", "--alpha", "0.25",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "rs_pf_cloud.csv").read_text() == "y1,y2,y3,eaf,draw_index\n"
+    assert (out / "rs_ps_boxes.csv").read_text() == "lo1,hi1,lo2,hi2,lo3,hi3,draw_index\n"
+
+
+def test_uq_memory_flat_in_draws(tmp_path, monkeypatch):
+    # uq keeps only each draw's front and set boxes, so four times the draws
+    # must not raise the traced peak by even one atlas; keeping every atlas
+    # raised it by about four of them
+    from treefront import cli
+
+    bench = unit_scale(get_benchmark("dtlz2m"))
+    X = np.random.default_rng(7).random((128, bench.p))
+    draws = fit_multi_bart(Dataset(X, bench.evaluate(X), bench.domain),
+                           BartConfig(m=12, n_burn=20, n_draws=8), seed=3)
+    eight = tmp_path / "eight.jsonl"
+    write_atlas_file(eight, ((i, multi_cells(d.me), None) for i, d in enumerate(draws)))
+    # a parsed record takes many times its atlas's bytes, so the 2-draw file
+    # holds the 8-draw file's two longest records: both runs parse the same
+    # largest one
+    lines = eight.read_text().splitlines(keepends=True)
+    two = tmp_path / "two.jsonl"
+    two.write_text("".join(sorted(lines, key=len)[-2:]))
+
+    atlas_bytes = []
+
+    def sized(atlas):
+        atlas_bytes.append(atlas.alphas.nbytes + atlas.los.nbytes + atlas.his.nbytes)
+        return pf_ps(atlas)
+
+    monkeypatch.setattr(cli, "pf_ps", sized)
+    peaks = []
+    for path in (two, eight):
+        tracemalloc.start()
+        try:
+            assert main(["uq", "--atlas", str(path), "--method", "mbd", "--alpha", "0.5",
+                         "--out-dir", str(tmp_path / path.stem)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(atlas_bytes) == 10
+    assert peaks[1] - peaks[0] < max(atlas_bytes)

@@ -56,7 +56,8 @@ def test_writer_matches_oracle_on_special_floats(tmp_path):
     los = np.array([[-0.0, v] for v in special])
     his = np.array([[0.0, 1e22]] * len(special))
     atlas = ImageAtlas(alphas, los, his, Domain.unit(2))
-    cpf = CPF(0, (FrontPoint((-0.0, 1e22), (1, 5)), FrontPoint((5e-324, -np.inf), (4,))))
+    cpf = CPF(0, (FrontPoint((-0.0, 1e22), (1, 5)), FrontPoint((5e-324, -np.inf), (4,))),
+              los[[1, 5, 4]], his[[1, 5, 4]])
     _assert_same_bytes(tmp_path, [(0, atlas, cpf), (7, atlas, None)])
     write_atlas_file(tmp_path / "a.jsonl", [(0, atlas, None)])
     text = (tmp_path / "a.jsonl").read_text()

@@ -30,6 +30,18 @@ def min_pairwise_dist(design):
 
 # -- designs -------------------------------------------------------------------
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: maximin_lhs(10, 2, 0, restarts=0), "restarts=0 must be >= 1"),
+    (lambda: Scenario(benchmark="mop2", n=40, replicates=0), "replicates=0 must be >= 1"),
+    (lambda: Scenario(benchmark="mop2", n=40, lhs_restarts=0), "lhs_restarts=0 must be >= 1"),
+    (lambda: BartConfig(n_burn=-1), "n_burn=-1 must be >= 0"),
+    (lambda: BartConfig(n_draws=0), "n_draws=0 must be >= 1"),
+], ids=["lhs_restarts", "replicates", "scenario_lhs_restarts", "burn", "draws"])
+def test_run_sizes_below_their_floor_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_lhs_marginal_stratification():
     design = maximin_lhs(20, 3, 0, restarts=2, n_swaps=200)
     for j in range(3):
@@ -317,3 +329,4 @@ def test_extract_cpfs_consistency():
             for ref in fp.cell_refs:
                 mid = atlas.box(ref).midpoint()
                 assert tuple(eval_multi(draws[i].me, mid)) == fp.objective
+                assert cpf.box(ref) == atlas.box(ref)

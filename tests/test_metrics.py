@@ -139,33 +139,11 @@ def _boxes(*bounds):
 
 def test_ps_points_unit_box_centroid():
     ps = _boxes(((0.0, 0.0), (1.0, 1.0)))
-    pts = ps_cloud_to_points(ps, 1)
+    pts = ps_cloud_to_points(ps)
     assert pts.tolist() == [[0.5, 0.5]]
 
 
 def test_ps_points_one_centroid_per_box():
     ps = _boxes(((0.0, 0.0), (0.5, 0.5)), ((0.5, 0.5), (1.0, 1.0)))
-    pts = ps_cloud_to_points(ps, 1)
+    pts = ps_cloud_to_points(ps)
     assert pts.tolist() == [[0.25, 0.25], [0.75, 0.75]]
-
-
-def test_ps_points_lattice_stays_inside_boxes():
-    ps = _boxes(((0.2, 0.4), (0.6, 0.9)))
-    pts = ps_cloud_to_points(ps, 16)
-    assert pts.shape == (16, 2)
-    assert np.all(pts >= [0.2, 0.4]) and np.all(pts <= [0.6, 0.9])
-
-
-def test_ps_points_metric_stability_under_k():
-    # doubling the per-box sample should barely move coverage numbers
-    rng = np.random.default_rng(8)
-    boxes = []
-    for _ in range(20):
-        lo = rng.random(2) * 0.8
-        boxes.append((tuple(lo), tuple(lo + 0.05 + rng.random(2) * 0.15)))
-    ps = _boxes(*boxes)
-    truth = np.column_stack([np.linspace(0, 1, 200), np.linspace(0, 1, 200)])
-    c8 = coverage(ps_cloud_to_points(ps, 8), truth)
-    c16 = coverage(ps_cloud_to_points(ps, 16), truth)
-    for a, b in zip(c8, c16):
-        assert abs(a - b) <= 0.1 * max(abs(a), abs(b), 1e-12)

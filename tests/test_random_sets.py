@@ -6,7 +6,6 @@ import pytest
 from treefront import (
     CPF,
     CellRefError,
-    FrontCells,
     ObjectiveBox,
     PFCloud,
     eaf,
@@ -153,7 +152,7 @@ def test_objective_box_from_points():
 
 
 def test_ps_cloud_empty():
-    assert len(ps_cloud(pf_cloud_rs([CPF.from_points(0, [[0.0, 0.0]])], 0.9), {})) == 0
+    assert len(ps_cloud(pf_cloud_rs([CPF.from_points(0, [[0.0, 0.0]])], 0.9), [])) == 0
 
 
 def test_ps_cloud_single_draw_covers_whole_front():
@@ -167,8 +166,8 @@ def test_ps_cloud_single_draw_covers_whole_front():
     cloud = PFCloud(
         tuple(CloudPoint(p.objective, 0, p.cell_refs, eaf=1.0) for p in cpf.points)
     )
-    psc = ps_cloud(cloud, {0: atlas})
-    assert {b.box for b in psc.boxes} == set(front_boxes(atlas, result))
+    psc = ps_cloud(cloud, [cpf])
+    assert [b.box for b in psc.boxes] == list(front_boxes(atlas, result))
     # with a single draw, every own point has attainment 1, outside any band
     assert len(pf_cloud_rs([cpf], 0.9)) == 0
 
@@ -176,12 +175,14 @@ def test_ps_cloud_single_draw_covers_whole_front():
 def test_ps_cloud_boxes_reevaluate_onto_cloud_points():
     rng = np.random.default_rng(8)
     draws = [PosteriorDraw(random_multi(rng, p=2, d=2, m=3), np.ones(2)) for _ in range(6)]
-    atlases, cells, cpfs = _extract(draws)
+    atlases, cpfs = _extract(draws)
     cloud = pf_cloud_rs(cpfs, 0.8)
     assert len(cloud) > 0
-    psc = ps_cloud(cloud, atlases)
-    # front-only records give the same boxes as the full atlases
-    assert ps_cloud(cloud, cells) == psc
+    psc = ps_cloud(cloud, cpfs)
+    # the CPFs' set boxes are the boxes of the full atlases' cells
+    want = [(pt.draw_index, atlases[pt.draw_index].box(r)) for pt in cloud.points
+            for r in pt.cell_refs]
+    assert [(e.draw_index, e.box) for e in psc.boxes] == want
     from treefront import eval_multi
 
     by_draw = {}
@@ -194,36 +195,30 @@ def test_ps_cloud_boxes_reevaluate_onto_cloud_points():
 
 
 def _extract(draws):
-    """Full atlases, front-only records and fronts of every draw."""
-    atlases, cells, cpfs = {}, {}, []
+    """Full atlases and fronts of every draw."""
+    atlases, cpfs = {}, []
     for i, atlas, cpf in extract_cpfs(draws):
         atlases[i] = atlas
-        cells[i] = FrontCells(atlas, cpf)
         cpfs.append(cpf)
-    return atlases, cells, cpfs
+    return atlases, cpfs
 
 
 def test_ps_cloud_dangling_ref_raises():
     rng = np.random.default_rng(9)
     draws = [PosteriorDraw(random_multi(rng, p=2, d=2, m=2), np.ones(2)) for _ in range(3)]
-    atlases, cells, cpfs = _extract(draws)
+    atlases, cpfs = _extract(draws)
     cloud = pf_cloud_rs(cpfs, 0.999)
     assert len(cloud) > 0
     pt = cloud.points[0]
-    # a draw with no record
-    missing = {i: c for i, c in cells.items() if i != pt.draw_index}
-    with pytest.raises(CellRefError, match=f"no atlas for draw {pt.draw_index}"):
+    # a draw with no front
+    missing = [c for c in cpfs if c.draw_index != pt.draw_index]
+    with pytest.raises(CellRefError, match=f"no front for draw {pt.draw_index}"):
         ps_cloud(cloud, missing)
-    # a cell of the draw's atlas that is not one of its front cells
+    # a cell of the draw's atlas that is not one of its front cells, and a
+    # ref past the atlas's last cell
     front = {r for fp in cpfs[pt.draw_index].points for r in fp.cell_refs}
-    atlas = atlases[pt.draw_index]
-    outside = min(set(range(len(atlas))) - front)
-    assert len(cells[pt.draw_index]) == len(atlas)
-    stray = PFCloud((dataclasses.replace(pt, cell_refs=(outside,)),))
-    assert len(ps_cloud(stray, atlases)) == 1
-    with pytest.raises(CellRefError, match=f"cell {outside} is not a front cell"):
-        ps_cloud(stray, cells)
-    # a full atlas, as read back from an atlas file: a ref past its last cell
-    past = PFCloud((dataclasses.replace(pt, cell_refs=(len(atlas),)),))
-    with pytest.raises(CellRefError, match=f"cell {len(atlas)} missing from draw"):
-        ps_cloud(past, atlases)
+    n_cells = len(atlases[pt.draw_index])
+    for ref in (min(set(range(n_cells)) - front), n_cells):
+        stray = PFCloud((dataclasses.replace(pt, cell_refs=(ref,)),))
+        with pytest.raises(CellRefError, match=f"cell {ref} is not a front cell"):
+            ps_cloud(stray, cpfs)
